@@ -105,7 +105,7 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(if $(BENCH_OLD),-old $(BENCH_OLD)) -new $(BENCH_NEW)
 
 # fuzz-smoke runs each native fuzz target briefly. Go allows one -fuzz
-# target per invocation, so the budget is split across the seven. The
+# target per invocation, so the budget is split across the eight. The
 # weekly extended run (.github/workflows/fuzz-weekly.yml) uses the same
 # target with FUZZTIME=100s.
 FUZZTIME ?= 10s
@@ -117,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzCellDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sweep/
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleetwire/
 	$(GO) test -fuzz '^FuzzControlDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/shard/
+	$(GO) test -fuzz '^FuzzAppendMs$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/stats/
 
 # cover writes the whole-repo profile to coverage.out (the CI artifact)
 # and enforces the statement-coverage floors on the fault-injection

@@ -132,6 +132,16 @@ func Run(cfg Config) (*Experiment, error) {
 // repetitions, so an abort takes effect within one run's simulation time.
 // A canceled context returns ctx.Err() unwrapped.
 func RunContext(ctx context.Context, cfg Config) (*Experiment, error) {
+	return RunOn(ctx, nil, cfg)
+}
+
+// RunOn is RunContext on a caller-owned testbed: tb is Reset for cfg
+// (which makes it the testbed New would build) and the experiment runs
+// on it. A nil tb means a fresh one. Study and shard workers own one
+// testbed each and run cell after cell on it, so the simulator, stack
+// and service storage is grown once instead of once per cell; results
+// are byte-identical either way.
+func RunOn(ctx context.Context, tb *testbed.Testbed, cfg Config) (*Experiment, error) {
 	cfg.fillDefaults()
 	if cfg.Profile == nil {
 		return nil, fmt.Errorf("core: Config.Profile is nil")
@@ -139,7 +149,10 @@ func RunContext(ctx context.Context, cfg Config) (*Experiment, error) {
 	tbCfg := cfg.Testbed
 	tbCfg.Tracer = cfg.Tracer
 	tbCfg.Metrics = cfg.Metrics
-	tb := testbed.New(tbCfg)
+	if tb == nil {
+		tb = new(testbed.Testbed)
+	}
+	tb.Reset(tbCfg)
 	// The arena is observational-tier plumbing (a worker-owned buffer
 	// pool); the experiment's stored config must not retain it.
 	cfg.Testbed.Arena = nil

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +15,7 @@ import (
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/faults"
 	"github.com/browsermetric/browsermetric/internal/methods"
+	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
 // arenaEquivCases spans the method families with distinct buffer
@@ -27,6 +34,8 @@ var arenaEquivCases = []struct {
 	{methods.WebSocket, faults.Lossy1pct},
 	{methods.FlashGet, faults.BurstyWiFi},
 	{methods.JavaTCP, faults.Lossy1pct},
+	{methods.FlashTCP, faults.Clean},
+	{methods.JavaUDP, faults.Lossy1pct},
 }
 
 // runArenaCell executes one small cell with the given arena installed.
@@ -93,5 +102,156 @@ func TestArenaPoisonedRunEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(heap, got) {
 			t.Errorf("%v/%v: poisoned-arena samples diverge — some buffer is read after its epoch ended", tc.kind, tc.fp)
 		}
+	}
+}
+
+// abortCell is a cell that fails mid-run: at base seed 0 the burstywifi
+// Flash POST / O (U) cell of a 50-run study times out on run 44, leaving
+// connections, timers and in-flight frames behind on its testbed.
+func abortCell(t *testing.T) Config {
+	t.Helper()
+	opts := StudyOptions{Runs: 50}
+	for _, s := range methods.Compared() {
+		opts.Methods = append(opts.Methods, s.Kind)
+	}
+	opts.Profiles = browser.Profiles()
+	opts.Testbed.Faults = faults.BurstyWiFi
+	for mi, k := range opts.Methods {
+		for pi, p := range opts.Profiles {
+			if k == methods.FlashPost && p.Label() == "O (U)" {
+				cfg, ok := CellConfig(&opts, mi, pi)
+				if !ok {
+					t.Fatal("Flash POST / O (U) is not runnable")
+				}
+				return cfg
+			}
+		}
+	}
+	t.Fatal("Flash POST / O (U) not in the matrix")
+	return Config{}
+}
+
+// TestReusedTestbedEquivalence is the determinism contract of testbed
+// reuse: one testbed (and one poisoned arena) carried through every cell
+// of the arena matrix in shuffled order, with an aborted cell in between,
+// must produce exactly what a fresh testbed per cell produces — the same
+// samples, and the same failure for the aborting cell. Any divergence
+// means Reset left state behind that New would not have built.
+func TestReusedTestbedEquivalence(t *testing.T) {
+	type cell struct {
+		cfg   Config
+		want  []Sample
+		err   string
+		state string
+	}
+	var cells []cell
+	for _, tc := range arenaEquivCases {
+		cfg := Config{
+			Method:  tc.kind,
+			Profile: browser.Lookup(browser.Chrome, browser.Windows),
+			Timing:  browser.NanoTime,
+			Runs:    6,
+			Gap:     time.Second,
+		}
+		cfg.Testbed.Seed = 42
+		cfg.Testbed.Faults = tc.fp
+		cells = append(cells, cell{cfg: cfg})
+	}
+	cells = append(cells, cell{cfg: abortCell(t)})
+	for i := range cells {
+		fresh := new(testbed.Testbed)
+		exp, err := RunOn(context.Background(), fresh, cells[i].cfg)
+		switch {
+		case err != nil:
+			cells[i].err = err.Error()
+		default:
+			cells[i].want = exp.Samples
+		}
+		cells[i].state = testbedState(t, fresh)
+	}
+	if last := cells[len(cells)-1]; !strings.Contains(last.err, "run 44") {
+		t.Fatalf("abort cell: err = %q, want a failure on run 44", last.err)
+	}
+
+	poisoned := arena.New(0)
+	poisoned.SetPoison(true)
+	tb := new(testbed.Testbed)
+	rng := rand.New(rand.NewSource(3))
+	for pass := 0; pass < 3; pass++ {
+		// Every pass visits every cell once, in a fresh order, so each
+		// cell follows the aborting cell on some pass.
+		for _, i := range rng.Perm(len(cells)) {
+			c := cells[i]
+			cfg := c.cfg
+			cfg.Testbed.Arena = poisoned
+			exp, err := RunOn(context.Background(), tb, cfg)
+			if got := testbedState(t, tb); got != c.state {
+				t.Errorf("pass %d %v/%v: testbed state after the cell diverges from a fresh testbed's:\n got %s\nwant %s",
+					pass, cfg.Method, cfg.Testbed.Faults, got, c.state)
+			}
+			if c.err != "" {
+				if err == nil || err.Error() != c.err {
+					t.Errorf("pass %d %v/%v: err = %v, want %q", pass, cfg.Method, cfg.Testbed.Faults, err, c.err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("pass %d %v/%v: %v", pass, cfg.Method, cfg.Testbed.Faults, err)
+			}
+			if !reflect.DeepEqual(exp.Samples, c.want) {
+				t.Errorf("pass %d %v/%v: samples on the reused testbed diverge from a fresh testbed", pass, cfg.Method, cfg.Testbed.Faults)
+			}
+		}
+	}
+}
+
+// testbedState fingerprints what a cell leaves on its testbed beyond the
+// samples: the last run's capture bytes (ports, IP IDs, sequence
+// numbers), the clock and event counters, and the stacks' counters. It
+// reads the UDP port allocator through NextUDPPort, which advances it;
+// the next cell's Reset rewinds it anyway.
+func testbedState(t *testing.T, tb *testbed.Testbed) string {
+	t.Helper()
+	var pcap bytes.Buffer
+	if _, err := tb.Cap.WriteTo(&pcap); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(pcap.Bytes())
+	return fmt.Sprintf("pcap=%x now=%v fired=%d pending=%d client=%d/%d server=%d/%d dropped=%d udp=%d",
+		sum[:8], tb.Sim.Now(), tb.Sim.Fired(), tb.Sim.Pending(),
+		tb.Client.SegmentsSent, tb.Client.SegmentsRetransmitted,
+		tb.Server.SegmentsSent, tb.Server.SegmentsRetransmitted,
+		tb.ServerLink.Dropped, tb.NextUDPPort())
+}
+
+// TestReusedTestbedStudyEquivalence: a study whose workers reuse their
+// testbeds exports the same bytes as one cell per fresh testbed.
+func TestReusedTestbedStudyEquivalence(t *testing.T) {
+	opts := StudyOptions{Runs: 5, Gap: time.Second, BaseSeed: 9, Workers: 1}
+	opts.Testbed.Faults = faults.Lossy1pct
+	st, err := RunStudy(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := st.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.Cells {
+		c := &st.Cells[i]
+		if c.Skipped {
+			continue
+		}
+		exp, err := Run(c.Exp.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Exp = exp
+	}
+	if err := st.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("study on reused testbeds exports differently from fresh testbeds")
 	}
 }

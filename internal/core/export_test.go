@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/methods"
+	"github.com/browsermetric/browsermetric/internal/stats"
 )
 
 func smallStudy(t *testing.T) *Study {
@@ -94,5 +97,135 @@ func TestExperimentWriteCSV(t *testing.T) {
 	lines := strings.Count(strings.TrimSpace(buf.String()), "\n")
 	if lines != 10 { // 5 runs × 2 rounds (header adds the 11th line - 1)
 		t.Fatalf("data lines = %d, want 10", lines)
+	}
+}
+
+// refSampleCSV is the per-row encoding/csv export SampleWriter replaced:
+// the byte reference it must reproduce.
+func refSampleCSV(t *testing.T, leadCol string, leads []string, studies []*Study) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	ms := func(d time.Duration) string { return strconv.FormatFloat(stats.Ms(d), 'f', 4, 64) }
+	header := []string{"method", "browser", "os", "run", "round",
+		"browser_rtt_ms", "wire_rtt_ms", "overhead_ms", "handshake"}
+	if leadCol != "" {
+		header = append([]string{leadCol}, header...)
+	}
+	cw.Write(header)
+	for si, st := range studies {
+		for _, c := range st.Cells {
+			if c.Skipped {
+				continue
+			}
+			for _, smp := range c.Exp.Samples {
+				rec := []string{c.Spec.Name, c.Profile.Browser.String(), c.Profile.OS.String(),
+					strconv.Itoa(smp.Run), strconv.Itoa(smp.Round),
+					ms(smp.BrowserRTT), ms(smp.WireRTT), ms(smp.Overhead),
+					strconv.FormatBool(smp.Handshake)}
+				if leadCol != "" {
+					rec = append([]string{leads[si]}, rec...)
+				}
+				cw.Write(rec)
+			}
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// syntheticStudy builds cells whose names need every kind of CSV quoting
+// and whose samples hit the formatter's edge cases (ties, negatives,
+// huge values), with enough rows to cross several buffer flushes.
+func syntheticStudy(rng *rand.Rand) *Study {
+	names := []string{"XHR GET", `Flash "POST"`, "a,b", " lead space", `\.`, "multi\nline", ""}
+	profs := browser.Profiles()
+	st := &Study{}
+	for i, name := range names {
+		c := Cell{Spec: methods.Spec{Name: name}, Profile: profs[i%len(profs)]}
+		if i == 3 {
+			c.Skipped = true
+			st.Cells = append(st.Cells, c)
+			continue
+		}
+		exp := &Experiment{}
+		for run := 0; run < 300; run++ {
+			for round := 1; round <= 2; round++ {
+				d := func() time.Duration {
+					switch rng.Intn(5) {
+					case 0:
+						return time.Duration(rng.Intn(1e6))*100 + 50 // tie
+					case 1:
+						return -time.Duration(rng.Int63n(1e8))
+					case 2:
+						return time.Duration(rng.Int63())
+					default:
+						return time.Duration(rng.Int63n(2e8))
+					}
+				}
+				exp.Samples = append(exp.Samples, Sample{Run: run, Round: round,
+					BrowserRTT: d(), WireRTT: d(), Overhead: d(), Handshake: rng.Intn(2) == 0})
+			}
+		}
+		c.Exp = exp
+		st.Cells = append(st.Cells, c)
+	}
+	return st
+}
+
+// TestSampleWriterMatchesEncodingCSV: the one sample-row encoder behind
+// Study.WriteCSV and the sweep export writes exactly the bytes
+// encoding/csv writes for the same records, with and without a leading
+// column.
+func TestSampleWriterMatchesEncodingCSV(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := syntheticStudy(rng), syntheticStudy(rng)
+
+	var got bytes.Buffer
+	if err := a.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := refSampleCSV(t, "", nil, []*Study{a}); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Study.WriteCSV differs from encoding/csv (%d vs %d bytes)", got.Len(), len(want))
+	}
+
+	leads := []string{"bursty,wifi", ` "quoted"`}
+	got.Reset()
+	sw := NewSampleWriter(&got, "fault s")
+	for i, st := range []*Study{a, b} {
+		sw.SetLead(leads[i])
+		if err := sw.WriteStudy(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := refSampleCSV(t, "fault s", leads, []*Study{a, b}); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("lead-column export differs from encoding/csv (%d vs %d bytes)", got.Len(), len(want))
+	}
+}
+
+type failWriter struct{ n int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errors.New("disk full")
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestSampleWriterReportsWriteError: a failing writer surfaces from the
+// flush that hit it, mid-study or at the end.
+func TestSampleWriterReportsWriteError(t *testing.T) {
+	st := syntheticStudy(rand.New(rand.NewSource(1)))
+	for n := 0; n < 3; n++ {
+		if err := st.WriteCSV(&failWriter{n: n}); err == nil || err.Error() != "disk full" {
+			t.Errorf("after %d good writes: err = %v, want disk full", n, err)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/obs"
+	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
 // CellSeed derives the testbed seed of the (methodIndex, profileIndex)
@@ -25,7 +26,7 @@ func CellSeed(base int64, methodIndex, profileIndex int) int64 {
 
 // runExperiment indirects the per-cell experiment execution; tests swap it
 // to inject failures and stalls without building a broken testbed.
-var runExperiment = RunContext
+var runExperiment = RunOn
 
 // RunStudy executes the matrix. Unsupported combinations are marked
 // Skipped; any other failure aborts the study and is returned.
@@ -34,11 +35,12 @@ func RunStudy(opts StudyOptions) (*Study, error) {
 }
 
 // RunStudyContext executes the matrix on a pool of opts.Workers
-// goroutines. Every cell runs on its own freshly built testbed (simulator,
-// clock, capture) with a seed derived from its matrix position via
-// CellSeed, so no simulation state is shared between workers and results
-// are independent of scheduling order; Cells keeps the stable
-// method-major ordering regardless of completion order.
+// goroutines. Each worker owns one testbed and resets it for every cell
+// (Reset makes it exactly the testbed New would build), with a seed
+// derived from the cell's matrix position via CellSeed, so no simulation
+// state is shared between cells or workers and results are independent
+// of scheduling order; Cells keeps the stable method-major ordering
+// regardless of completion order.
 //
 // Canceling ctx aborts the study and returns ctx.Err(). The first cell
 // failure cancels the remaining work and is returned after in-flight
@@ -102,11 +104,13 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker: each cell's testbed draws its hot-path
-			// buffers from it, and the slabs recycle cell after cell. The
-			// arena is single-goroutine by design, which is exactly the
-			// worker's execution model.
+			// One arena and one testbed per worker: every cell runs on the
+			// testbed after a Reset and draws its hot-path buffers from the
+			// arena, so both recycle their storage cell after cell. Both
+			// are single-goroutine by design, which is exactly the
+			// worker's execution model. The testbed is built on first use.
 			a := arena.New(0)
+			tb := new(testbed.Testbed)
 			for idx := range jobs {
 				if ctx.Err() != nil {
 					return
@@ -117,7 +121,7 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 
 				mi, pi := idx/len(opts.Profiles), idx%len(opts.Profiles)
 				cellStart := time.Now()
-				cell, err := runCell(ctx, &opts, mi, pi, a)
+				cell, err := runCell(ctx, &opts, mi, pi, a, tb)
 				wall := time.Since(cellStart)
 
 				canceled := err != nil && errors.Is(err, context.Canceled) ||
@@ -233,10 +237,10 @@ func CellConfig(opts *StudyOptions, mi, pi int) (Config, bool) {
 	return cfg, true
 }
 
-// runCell executes one (method, profile) cell on an isolated testbed.
-// a is the calling worker's arena; it backs the cell's hot-path buffers
-// and recycles between cells.
-func runCell(ctx context.Context, opts *StudyOptions, mi, pi int, a *arena.Arena) (Cell, error) {
+// runCell executes one (method, profile) cell on the calling worker's
+// testbed tb, reset for the cell. a is the worker's arena; it backs the
+// cell's hot-path buffers and recycles between cells.
+func runCell(ctx context.Context, opts *StudyOptions, mi, pi int, a *arena.Arena, tb *testbed.Testbed) (Cell, error) {
 	spec := methods.Get(opts.Methods[mi])
 	prof := opts.Profiles[pi]
 	cell := Cell{Spec: spec, Profile: prof}
@@ -268,7 +272,7 @@ func runCell(ctx context.Context, opts *StudyOptions, mi, pi int, a *arena.Arena
 		cfg.Metrics = obs.NewMetrics()
 		cell.Metrics = cfg.Metrics
 	}
-	exp, err := runExperiment(ctx, cfg)
+	exp, err := runExperiment(ctx, tb, cfg)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return cell, err

@@ -13,6 +13,7 @@ import (
 
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/methods"
+	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
 // checkNoGoroutineLeak fails the test if goroutines outlive it.
@@ -157,7 +158,9 @@ func TestRunStudyStatsAndCallback(t *testing.T) {
 func stubExperiments(t *testing.T, fn func(context.Context, Config) (*Experiment, error)) {
 	t.Helper()
 	old := runExperiment
-	runExperiment = fn
+	runExperiment = func(ctx context.Context, _ *testbed.Testbed, cfg Config) (*Experiment, error) {
+		return fn(ctx, cfg)
+	}
 	t.Cleanup(func() { runExperiment = old })
 }
 

@@ -81,7 +81,7 @@ func (h Event) Canceled() bool {
 }
 
 // Simulator is a discrete-event simulator with a virtual clock.
-// The zero value is not usable; call New.
+// The zero value is not usable; call New (or Reset).
 type Simulator struct {
 	now     time.Duration
 	queue   []*event
@@ -97,7 +97,30 @@ type Simulator struct {
 // New returns a Simulator whose clock starts at zero and whose random
 // source is seeded deterministically with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	s := &Simulator{}
+	s.Reset(seed)
+	return s
+}
+
+// Reset returns the simulator to the state New(seed) builds: clock at
+// zero, empty queue, counters and Limit cleared, random source re-seeded.
+// It keeps the storage: queued records join the freelist (their
+// generation bump makes every outstanding Event handle inert), and the
+// random source is re-seeded in place. A simulator reused through Reset
+// fires the same events in the same order, and draws the same random
+// stream, as a fresh one.
+func (s *Simulator) Reset(seed int64) {
+	for i, e := range s.queue {
+		s.queue[i] = nil
+		s.recycle(e)
+	}
+	s.queue = s.queue[:0]
+	s.now, s.nextSeq, s.fired, s.Limit = 0, 0, 0, 0
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
 }
 
 // Now returns the current virtual time.

@@ -1,6 +1,8 @@
 package eventsim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -436,5 +438,105 @@ func TestQuickAdvanceExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// resetWorkload drives s through a seeded script that exercises every
+// scheduling path — same-instant ties, cancellation, the bound-argument
+// variants, events scheduling events — and returns the fire trace plus
+// the random draws that decided it.
+func resetWorkload(s *Simulator) []string {
+	var trace []string
+	note := func(id int) { trace = append(trace, fmt.Sprintf("%d@%v", id, s.Now())) }
+	var handles []Event
+	var spawn func(id, depth int)
+	spawn = func(id, depth int) {
+		delay := time.Duration(s.Rand().Intn(4)) * time.Millisecond
+		var h Event
+		switch s.Rand().Intn(3) {
+		case 0:
+			h = s.Schedule(delay, func() {
+				note(id)
+				if depth < 3 {
+					spawn(id*10+1, depth+1)
+					spawn(id*10+2, depth+1)
+				}
+			})
+		case 1:
+			h = s.ScheduleBytes(delay, func(b []byte) { note(int(b[0])) }, []byte{byte(id)})
+		default:
+			h = s.ScheduleAny(delay, func(v any) { note(v.(int)) }, id)
+		}
+		handles = append(handles, h)
+		if s.Rand().Intn(5) == 0 {
+			handles[s.Rand().Intn(len(handles))].Cancel()
+		}
+	}
+	for i := 1; i <= 20; i++ {
+		spawn(i, 0)
+	}
+	s.Run()
+	trace = append(trace, fmt.Sprintf("rand=%d", s.Rand().Int63()))
+	return trace
+}
+
+// TestResetEqualsNew: Reset(seed) after arbitrary use — events still
+// queued, some canceled, a custom Limit — yields a simulator that fires
+// the same events in the same order at the same times, and draws the same
+// random stream, as New(seed); handles from before the Reset stay inert.
+func TestResetEqualsNew(t *testing.T) {
+	fresh := New(7)
+	want := resetWorkload(fresh)
+
+	used := New(99)
+	used.Limit = 1 << 20
+	resetWorkload(used)
+	var stale []Event
+	fired := 0
+	for i := 0; i < 50; i++ {
+		stale = append(stale, used.Schedule(time.Duration(i)*time.Millisecond, func() { fired++ }))
+	}
+	stale[3].Cancel()
+	used.RunUntil(10 * time.Millisecond)
+	pending := used.Pending()
+	if pending == 0 {
+		t.Fatal("setup: nothing left queued across the Reset")
+	}
+
+	used.Reset(7)
+	if used.Now() != 0 || used.Pending() != 0 || used.Fired() != 0 || used.Limit != 0 || used.nextSeq != 0 {
+		t.Fatalf("after Reset: now=%v pending=%d fired=%d limit=%d seq=%d, want all zero",
+			used.Now(), used.Pending(), used.Fired(), used.Limit, used.nextSeq)
+	}
+	if len(used.free) < pending {
+		t.Errorf("Reset dropped queued records: %d free, %d were queued", len(used.free), pending)
+	}
+	for i, h := range stale {
+		if h.At() != 0 {
+			t.Errorf("stale handle %d: At = %v, want 0", i, h.At())
+		}
+		if h.Canceled() != (i == 3) {
+			t.Errorf("stale handle %d: Canceled = %v", i, h.Canceled())
+		}
+	}
+	firedBefore := fired
+	// The new use recycles the stale handles' records; canceling through
+	// a stale handle must not touch the events now living in them.
+	var got []string
+	used.Schedule(0, func() {
+		for _, h := range stale {
+			h.Cancel()
+		}
+	})
+	got = resetWorkload(used)
+	if fired != firedBefore {
+		t.Errorf("%d events queued before the Reset fired after it", fired-firedBefore)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset simulator diverges from New:\n got %v\nwant %v", got, want)
+	}
+	if used.Now() != fresh.Now() || used.Fired() != fresh.Fired()+1 || used.nextSeq != fresh.nextSeq+1 {
+		t.Errorf("counters: now %v/%v fired %d/%d seq %d/%d (reset/fresh, reset ran one extra event)",
+			used.Now(), fresh.Now(), used.Fired(), fresh.Fired(), used.nextSeq, fresh.nextSeq)
 	}
 }

@@ -3,6 +3,7 @@ package httpsim
 import (
 	"time"
 
+	"github.com/browsermetric/browsermetric/internal/arena"
 	"github.com/browsermetric/browsermetric/internal/eventsim"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/tcpsim"
@@ -39,10 +40,9 @@ type Server struct {
 
 	in *Interner
 
-	// srvConn slab, chunked like tcpsim's conn slab: exhausted chunks are
-	// abandoned, never grown in place.
-	scSlab []srvConn
-	scOff  int
+	// conns pools the srvConn records, like tcpsim's conn pool; Reset
+	// rewinds it, and a reused record keeps its receive buffer.
+	conns arena.Chunks[srvConn]
 
 	// exFree is a freelist of exchange records; it stabilizes at the peak
 	// number of concurrently delayed responses.
@@ -71,6 +71,15 @@ type exchange struct {
 	next        *exchange
 }
 
+// Reset forgets every connection and zeroes Requests, for a server whose
+// stack and simulator were reset. The interner, the connection records
+// (with their receive buffers) and the exchange freelist stay for reuse;
+// none of them can change a response.
+func (s *Server) Reset() {
+	s.Requests = 0
+	s.conns.Rewind()
+}
+
 // Serve starts listening on port.
 func (s *Server) Serve(port uint16) error {
 	_, err := s.Stack.Listen(port, s.accept)
@@ -81,14 +90,11 @@ func (s *Server) accept(c *tcpsim.Conn) {
 	if s.in == nil {
 		s.in = NewInterner()
 	}
-	if s.scOff >= len(s.scSlab) {
-		s.scSlab = make([]srvConn, 16)
-		s.scOff = 0
-	}
-	sc := &s.scSlab[s.scOff]
-	s.scOff++
+	sc := s.conns.Next(16)
 	sc.srv = s
 	sc.c = c
+	sc.buf = sc.buf[:0]
+	sc.off = 0
 	c.Upper = sc
 	c.Sink = s
 }

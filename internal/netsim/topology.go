@@ -106,6 +106,17 @@ func (l *Link) Attach(dev Device) *Port {
 	panic("netsim: link already has two devices attached")
 }
 
+// Reset idles both transmit queues and zeroes Dropped, for a link whose
+// simulator was reset. Attachments and configuration fields stay.
+func (l *Link) Reset() {
+	l.Dropped = 0
+	for _, p := range l.ports {
+		if p != nil {
+			p.busyUntil = 0
+		}
+	}
+}
+
 // txTime returns the serialization delay for n bytes at the line rate.
 func (l *Link) txTime(n int) time.Duration {
 	if l.BitsPerSecond <= 0 {
@@ -260,6 +271,10 @@ func (s *Switch) Connect(link *Link) {
 	s.ports = append(s.ports, p)
 	s.fwd = append(s.fwd, func(frame []byte) { s.forward(p, frame) })
 }
+
+// Reset forgets every learned address, for a switch whose simulator was
+// reset. Attachments stay.
+func (s *Switch) Reset() { clear(s.table) }
 
 // Receive implements Device: learn the source, then forward after the
 // forwarding delay.

@@ -230,3 +230,51 @@ func TestLinkThirdAttachPanics(t *testing.T) {
 	l.Attach(NewNIC(sim, "2", macB, ipB))
 	l.Attach(NewNIC(sim, "3", MAC{}, ipA))
 }
+
+// TestLinkResetIdlesQueue: after Reset (with the simulator reset too) a
+// frame serializes from an idle wire, as on a new link, and the drop
+// counter starts from zero.
+func TestLinkResetIdlesQueue(t *testing.T) {
+	sim := eventsim.New(1)
+	a := NewNIC(sim, "a", macA, ipA)
+	b := NewNIC(sim, "b", macB, ipB)
+	l := NewLink(sim, 100_000_000, 0)
+	a.Connect(l)
+	b.Connect(l)
+	var arrivals []time.Duration
+	b.SetHandler(func([]byte) { arrivals = append(arrivals, sim.Now()) })
+
+	for i := 0; i < 5; i++ {
+		a.Send(make([]byte, 1250)) // 100 µs each: the queue runs 500 µs deep
+	}
+	l.Dropped = 3
+	sim.Reset(1)
+	l.Reset()
+	a.Send(make([]byte, 1250))
+	sim.Run()
+	if len(arrivals) != 1 || arrivals[0] != 100*time.Microsecond {
+		t.Fatalf("arrivals after Reset = %v, want [100µs]", arrivals)
+	}
+	if l.Dropped != 0 {
+		t.Fatalf("Dropped = %d after Reset", l.Dropped)
+	}
+}
+
+// TestSwitchResetForgetsTable: a reset switch has learned nothing.
+func TestSwitchResetForgetsTable(t *testing.T) {
+	sim := eventsim.New(1)
+	sw := NewSwitch(sim, 0)
+	a := NewNIC(sim, "a", macA, ipA)
+	l := NewLink(sim, 0, 0)
+	a.Connect(l)
+	sw.Connect(l)
+	a.Send(make([]byte, ethernetHeaderLen))
+	sim.Run()
+	if len(sw.table) == 0 {
+		t.Fatal("setup: switch learned nothing")
+	}
+	sw.Reset()
+	if len(sw.table) != 0 {
+		t.Fatalf("table after Reset = %v", sw.table)
+	}
+}

@@ -176,7 +176,9 @@ func (s *Server) initSeries() {
 
 // observe records one served exchange: counter, service-latency sketch,
 // the artificial-delay series and a Debug request log. Allocation-free
-// when Metrics and Logger are both nil.
+// when Metrics and Logger are both nil. Echo loops call it before the
+// reply leaves, so a client that has read its reply always finds the
+// exchange recorded.
 func (s *Server) observe(ser series, start time.Time) {
 	took := time.Since(start)
 	if m := s.cfg.Metrics; m.Enabled() {
@@ -428,11 +430,11 @@ func (s *Server) wsSession(conn net.Conn) {
 					start := time.Now()
 					s.pause()
 					s.count(&s.wsMessages)
+					s.observe(s.serWS, start)
 					out := &wssim.Frame{Fin: true, Opcode: f.Opcode, Payload: f.Payload}
 					if _, err := conn.Write(out.Marshal()); err != nil {
 						return
 					}
-					s.observe(s.serWS, start)
 				}
 			}
 		}
@@ -461,10 +463,10 @@ func (s *Server) serveTCPEcho() {
 					start := time.Now()
 					s.pause()
 					s.count(&s.tcpEchoes)
+					s.observe(s.serTCP, start)
 					if _, werr := conn.Write(buf[:n]); werr != nil {
 						return
 					}
-					s.observe(s.serTCP, start)
 				}
 				if err != nil {
 					return
@@ -484,9 +486,9 @@ func (s *Server) serveUDPEcho() {
 		start := time.Now()
 		s.pause()
 		s.count(&s.udpEchoes)
+		s.observe(s.serUDP, start)
 		payload := make([]byte, n)
 		copy(payload, buf[:n])
 		_, _ = s.udpConn.WriteToUDP(payload, addr)
-		s.observe(s.serUDP, start)
 	}
 }

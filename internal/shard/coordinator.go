@@ -391,8 +391,8 @@ func (c *Coordinator) releaseWorker(name string) {
 	}
 }
 
-// Close tears the coordinator down without running the final pass. Wait
-// calls it; explicit calls are for error paths.
+// Close stops accepting workers and tears the coordinator down. Call it
+// once Wait has returned, or instead of Wait to abandon the sweep.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	stopped := c.stopped
@@ -415,6 +415,11 @@ func (c *Coordinator) Close() {
 // died, or were reassigned. Any cell that somehow never reached the
 // cache is recomputed here, so the output is correct even under total
 // worker loss.
+//
+// The control port stays open until Close: a worker that arrives after
+// the last shard is done (its peers drained a warm cache before it
+// dialed) is told the sweep is complete and exits cleanly, instead of
+// being refused.
 func (c *Coordinator) Wait(ctx context.Context) (*sweep.Result, error) {
 	select {
 	case <-c.done:
@@ -422,7 +427,6 @@ func (c *Coordinator) Wait(ctx context.Context) (*sweep.Result, error) {
 		c.Close()
 		return nil, ctx.Err()
 	}
-	c.Close()
 	if err := c.mergeWorkerManifests(); err != nil {
 		return nil, err
 	}

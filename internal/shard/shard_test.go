@@ -306,3 +306,39 @@ func TestShardResumeSkipsWarmCells(t *testing.T) {
 		t.Error("warm cluster export differs from cold")
 	}
 }
+
+// TestShardLateWorkerToldDone: a worker that dials after the sweep is
+// complete — here, after Wait has returned — is told so and exits
+// cleanly rather than being refused; the control port stays open until
+// Close.
+func TestShardLateWorkerToldDone(t *testing.T) {
+	opts := smallOpts(t.TempDir())
+	c, err := NewCoordinator(CoordinatorOptions{Sweep: opts, Shards: 4, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	werr := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(ctx, WorkerOptions{Addr: c.Addr(), Name: "early", Sweep: opts, Log: t.Logf})
+		werr <- err
+	}()
+	if _, err := c.Wait(ctx); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("early worker: %v", err)
+	}
+	stats, err := RunWorker(ctx, WorkerOptions{Addr: c.Addr(), Name: "late", Sweep: opts, Log: t.Logf})
+	if err != nil {
+		t.Fatalf("late worker: %v", err)
+	}
+	if stats.ShardsDone != 0 || stats.Computed+stats.Cached != 0 {
+		t.Errorf("late worker did work after the sweep completed: %+v", stats)
+	}
+	if seen := c.Stats().WorkersSeen; seen != 2 {
+		t.Errorf("WorkersSeen = %d, want 2", seen)
+	}
+}

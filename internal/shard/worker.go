@@ -15,6 +15,7 @@ import (
 	"github.com/browsermetric/browsermetric/internal/core"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/sweep"
+	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
 // WorkerOptions configures one shard worker process.
@@ -277,6 +278,7 @@ func (w *workerRun) runCells(ctx context.Context, idxs []int, doneCells *atomic.
 		go func() {
 			defer wg.Done()
 			a := arena.New(0)
+			tb := new(testbed.Testbed)
 			for i := range jobs {
 				if ctx.Err() != nil {
 					return
@@ -298,7 +300,7 @@ func (w *workerRun) runCells(ctx context.Context, idxs []int, doneCells *atomic.
 				}
 				cfg := pc.Config
 				cfg.Testbed.Arena = a
-				exp, rerr := core.RunContext(ctx, cfg)
+				exp, rerr := core.RunOn(ctx, tb, cfg)
 				if rerr != nil {
 					if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
 						return

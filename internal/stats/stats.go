@@ -9,12 +9,33 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 )
 
 // Ms converts a duration to floating-point milliseconds, the unit every
 // figure in the paper uses.
 func Ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// AppendMs appends d in milliseconds with four decimals — exactly
+// strconv.AppendFloat(dst, Ms(d), 'f', 4, 64), the export format of every
+// sample row — without going through the float formatter. Four decimals
+// of a millisecond are units of 100 ns, so the digits are d/100 rounded
+// to nearest: for 0 <= d < 2^52 the float Ms(d) lies within half an ulp
+// (< 0.5 ns) of d/1e6, so unless d%100 == 50 it rounds to the same
+// digits. Ties (whose digits the float's own rounding decides: 150 ns →
+// 0.0001, 31,250 ns → 0.0312), negative and huge values go through
+// strconv.
+func AppendMs(dst []byte, d time.Duration) []byte {
+	if d < 0 || d >= 1<<52 || d%100 == 50 {
+		return strconv.AppendFloat(dst, Ms(d), 'f', 4, 64)
+	}
+	q := uint64(d+50) / 100 // units of 0.1 µs
+	dst = strconv.AppendUint(dst, q/10000, 10)
+	frac := q % 10000
+	return append(dst, '.',
+		byte('0'+frac/1000), byte('0'+frac/100%10), byte('0'+frac/10%10), byte('0'+frac%10))
+}
 
 // DurationsToMs converts a sample set.
 func DurationsToMs(ds []time.Duration) []float64 {

@@ -108,8 +108,11 @@ func (c *Cache) cellPath(hash string) string {
 // reported as a miss so the scheduler recomputes — it can never surface
 // as data.
 func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
-	key := c.Key(cfg)
-	hash := key.Hash()
+	return c.load(cfg, c.Key(cfg).Hash())
+}
+
+// load is Load for a caller that already hashed cfg's key.
+func (c *Cache) load(cfg core.Config, hash string) (*core.Experiment, bool) {
 	data, err := os.ReadFile(c.cellPath(hash))
 	if err != nil {
 		c.misses.Add(1)
@@ -125,7 +128,7 @@ func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
 		c.misses.Add(1)
 		c.metrics.Add("sweep_cache_corrupt_total", 1)
 		c.metrics.Add("sweep_cache_misses_total", 1)
-		c.logf("sweep: corrupt cache entry for %s: %v; recomputing", key, derr)
+		c.logf("sweep: corrupt cache entry for %s: %v; recomputing", c.Key(cfg), derr)
 		os.Remove(c.cellPath(hash))
 		return nil, false
 	}
@@ -143,7 +146,11 @@ func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
 // atomically (temp file + rename), so a killed sweep leaves either the
 // complete entry or none.
 func (c *Cache) Store(cfg core.Config, exp *core.Experiment) error {
-	hash := c.Key(cfg).Hash()
+	return c.store(c.Key(cfg).Hash(), exp)
+}
+
+// store is Store for a caller that already hashed the cell's key.
+func (c *Cache) store(hash string, exp *core.Experiment) error {
 	data := encodeCell(hash, exp.Samples)
 	tmp, err := os.CreateTemp(filepath.Join(c.dir, "cells"), hash+".tmp*")
 	if err != nil {

@@ -84,34 +84,51 @@ func decodeCell(data []byte) (key string, samples []core.Sample, err error) {
 		return "", nil, fmt.Errorf("sweep: cell file: checksum mismatch (corrupt entry)")
 	}
 
-	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
-	if len(lines) < 3 || string(lines[0]) != cellMagic {
+	// Walk the body line by line (every line ends in '\n') and field by
+	// field in place: a warm sweep decodes every cell it replays.
+	nLines := bytes.Count(body, []byte{'\n'})
+	rest := body
+	next := func() []byte {
+		i := bytes.IndexByte(rest, '\n')
+		ln := rest[:i]
+		rest = rest[i+1:]
+		return ln
+	}
+	if nLines < 3 || string(next()) != cellMagic {
 		return "", nil, fmt.Errorf("sweep: cell file: bad header")
 	}
-	keyHex, ok := bytes.CutPrefix(lines[1], []byte("key "))
+	keyHex, ok := bytes.CutPrefix(next(), []byte("key "))
 	if !ok || len(keyHex) != 64 || !isLowerHex(keyHex) {
 		return "", nil, fmt.Errorf("sweep: cell file: bad key line")
 	}
-	nStr, ok := bytes.CutPrefix(lines[2], []byte("n "))
+	nStr, ok := bytes.CutPrefix(next(), []byte("n "))
 	if !ok {
 		return "", nil, fmt.Errorf("sweep: cell file: bad count line")
 	}
 	n, err := strconv.Atoi(string(nStr))
-	if err != nil || n < 0 || n != len(lines)-3 {
-		return "", nil, fmt.Errorf("sweep: cell file: sample count %q does not match %d lines", nStr, len(lines)-3)
+	if err != nil || n < 0 || n != nLines-3 {
+		return "", nil, fmt.Errorf("sweep: cell file: sample count %q does not match %d lines", nStr, nLines-3)
 	}
 
 	samples = make([]core.Sample, 0, n)
-	for _, ln := range lines[3:] {
-		f := bytes.Split(ln, []byte(" "))
-		if len(f) != 6 || string(f[0]) != "s" {
+	var f [6][]byte
+	for range n {
+		ln := next()
+		if bytes.Count(ln, []byte{' '}) != len(f)-1 {
 			return "", nil, fmt.Errorf("sweep: cell file: bad sample line %q", ln)
 		}
-		run, err1 := strconv.Atoi(string(f[1]))
-		round, err2 := strconv.Atoi(string(f[2]))
-		browserNs, err3 := strconv.ParseInt(string(f[3]), 10, 64)
-		wireNs, err4 := strconv.ParseInt(string(f[4]), 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || run < 0 || round < 1 {
+		rem := ln
+		for i := range f {
+			f[i], rem, _ = bytes.Cut(rem, []byte{' '})
+		}
+		if string(f[0]) != "s" {
+			return "", nil, fmt.Errorf("sweep: cell file: bad sample line %q", ln)
+		}
+		run, ok1 := parseDec(f[1])
+		round, ok2 := parseDec(f[2])
+		browserNs, ok3 := parseDec(f[3])
+		wireNs, ok4 := parseDec(f[4])
+		if !ok1 || !ok2 || !ok3 || !ok4 || run < 0 || round < 1 {
 			return "", nil, fmt.Errorf("sweep: cell file: bad sample fields %q", ln)
 		}
 		var handshake bool
@@ -123,8 +140,8 @@ func decodeCell(data []byte) (key string, samples []core.Sample, err error) {
 			return "", nil, fmt.Errorf("sweep: cell file: bad handshake flag %q", ln)
 		}
 		samples = append(samples, core.Sample{
-			Run:        run,
-			Round:      round,
+			Run:        int(run),
+			Round:      int(round),
 			BrowserRTT: durNs(browserNs),
 			WireRTT:    durNs(wireNs),
 			Overhead:   durNs(browserNs - wireNs),
@@ -132,6 +149,34 @@ func decodeCell(data []byte) (key string, samples []core.Sample, err error) {
 		})
 	}
 	return string(keyHex), samples, nil
+}
+
+// parseDec is strconv.ParseInt(string(b), 10, 64) without building the
+// string: an optional sign, at least one decimal digit, int64 range.
+func parseDec(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	lim := uint64(1<<63 - 1)
+	if neg {
+		lim = 1 << 63
+	}
+	var u uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || u > (lim-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	if neg {
+		return int64(-u), true
+	}
+	return int64(u), true
 }
 
 func durNs(ns int64) time.Duration { return time.Duration(ns) }

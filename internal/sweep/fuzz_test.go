@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -155,5 +157,35 @@ func TestCellSeedCorpusValidSeedDecodes(t *testing.T) {
 	}
 	if _, _, _, err := ParseManifest(manifestSeedCorpus(t)[0]); err != nil {
 		t.Fatalf("canonical manifest seed rejected: %v", err)
+	}
+}
+
+// TestParseDecMatchesStrconv: the cell decoder's in-place integer parser
+// accepts exactly what strconv.ParseInt(s, 10, 64) accepts, with the same
+// value, so decoding without building strings changes no verdict.
+func TestParseDecMatchesStrconv(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		want, err := strconv.ParseInt(s, 10, 64)
+		got, ok := parseDec([]byte(s))
+		if ok != (err == nil) || (ok && got != want) {
+			t.Fatalf("parseDec(%q) = %d, %v; strconv says %d, %v", s, got, ok, want, err)
+		}
+	}
+	for _, s := range []string{"", "+", "-", "0", "-0", "+0", "007", "12 ", " 12", "1_000", "0x10", "1e3",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"+9223372036854775807", "18446744073709551615", "18446744073709551616", "99999999999999999999",
+		"--1", "+-1", "1-", "٣"} {
+		check(s)
+	}
+	rng := rand.New(rand.NewSource(5))
+	const alphabet = "+-0123456789 _x9"
+	for i := 0; i < 200_000; i++ {
+		b := make([]byte, rng.Intn(22))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		check(string(b))
+		check(strconv.FormatInt(rng.Int63()>>uint(rng.Intn(63))*int64(1-2*rng.Intn(2)), 10))
 	}
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/csv"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -232,11 +231,12 @@ type recordingCache struct {
 }
 
 func (r *recordingCache) Load(cfg core.Config) (*core.Experiment, bool) {
-	exp, ok := r.c.Load(cfg)
+	hash := r.c.Key(cfg).Hash()
+	exp, ok := r.c.load(cfg, hash)
 	if ok {
 		// A revalidated warm cell still belongs in this sweep's manifest
 		// (Append dedupes if it is already there from a resumed run).
-		if err := r.record(cfg, true); err != nil {
+		if err := r.record(cfg, hash, true); err != nil {
 			// Failing the manifest write must not serve stale bookkeeping:
 			// treat it as a miss so the cell goes through Store's error path.
 			return nil, false
@@ -246,18 +246,19 @@ func (r *recordingCache) Load(cfg core.Config) (*core.Experiment, bool) {
 }
 
 func (r *recordingCache) Store(cfg core.Config, exp *core.Experiment) error {
-	if err := r.c.Store(cfg, exp); err != nil {
+	hash := r.c.Key(cfg).Hash()
+	if err := r.c.store(hash, exp); err != nil {
 		return err
 	}
-	return r.record(cfg, false)
+	return r.record(cfg, hash, false)
 }
 
-func (r *recordingCache) record(cfg core.Config, cached bool) error {
-	key := r.c.Key(cfg)
+// record appends cfg's entry under its key hash.
+func (r *recordingCache) record(cfg core.Config, hash string, cached bool) error {
 	e := ManifestEntry{
 		Faults: cfg.Testbed.Faults.String(),
 		Method: cfg.Method.String(),
-		Key:    key.Hash(),
+		Key:    hash,
 		Cached: cached,
 	}
 	if cfg.Profile != nil {
@@ -270,44 +271,15 @@ func (r *recordingCache) record(cfg core.Config, cached bool) error {
 // the leading column — the sweep-wide analogue of Study.WriteCSV, and
 // the byte surface the cached ≡ recomputed equivalence tests compare.
 func (r *Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"faults", "method", "browser", "os", "run", "round",
-		"browser_rtt_ms", "wire_rtt_ms", "overhead_ms", "handshake",
-	}); err != nil {
-		return err
-	}
+	sw := core.NewSampleWriter(w, "faults")
 	for si, st := range r.Studies {
-		fp := r.Faults[si].String()
-		for i := range st.Cells {
-			c := &st.Cells[i]
-			if c.Skipped {
-				continue
-			}
-			for _, smp := range c.Exp.Samples {
-				rec := []string{
-					fp,
-					c.Spec.Name,
-					c.Profile.Browser.String(),
-					c.Profile.OS.String(),
-					strconv.Itoa(smp.Run),
-					strconv.Itoa(smp.Round),
-					fmtMs(stats.Ms(smp.BrowserRTT)),
-					fmtMs(stats.Ms(smp.WireRTT)),
-					fmtMs(stats.Ms(smp.Overhead)),
-					strconv.FormatBool(smp.Handshake),
-				}
-				if err := cw.Write(rec); err != nil {
-					return err
-				}
-			}
+		sw.SetLead(r.Faults[si].String())
+		if err := sw.WriteStudy(st); err != nil {
+			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return sw.Flush()
 }
-
-func fmtMs(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 // Report renders the sweep as a text table: one row per method, the
 // median (across browser profiles) of per-cell median Δd2 under each

@@ -94,6 +94,13 @@ type Stack struct {
 	conns       map[fourTuple]*Conn
 	udpHandlers map[uint16]func(src netip.Addr, srcPort uint16, payload []byte)
 
+	// portUse counts the open conns on each local port and open lists
+	// them (Conn.openIdx is a conn's position), so choosing an ephemeral
+	// port and answering Quiescent never iterate the conns map. A probe
+	// cell leaves every run's connection open until the cell ends.
+	portUse map[uint16]int
+	open    []*Conn
+
 	nextEphemeral uint16
 	ipID          uint16
 
@@ -118,27 +125,48 @@ type Stack struct {
 	// Safe because all frame delivery is event-scheduled, never reentrant.
 	rxPkt netsim.Packet
 
-	// connSlab is a grow-only chunk of connection records handed out by
-	// newConn. A Conn's queue slices alias its own inline arrays, so a
-	// chunk is never grown or compacted in place — when exhausted it is
-	// simply abandoned for a fresh one. Conns are not recycled within a
-	// cell; the chunks amortize their allocation across runs.
-	connSlab []Conn
-	connOff  int
+	// connPool holds the connection records handed out by newConn. A
+	// Conn's queue slices alias its own inline arrays, so records never
+	// move. Conns are not recycled while the stack runs; Reset rewinds
+	// the pool, so the chunks serve cell after cell.
+	connPool arena.Chunks[Conn]
 }
 
 // NewStack creates a stack and installs itself as the NIC frame handler.
 func NewStack(sim *eventsim.Simulator, nic *netsim.NIC) *Stack {
-	s := &Stack{
-		sim:           sim,
-		nic:           nic,
-		listeners:     make(map[uint16]*Listener),
-		conns:         make(map[fourTuple]*Conn),
-		udpHandlers:   make(map[uint16]func(netip.Addr, uint16, []byte)),
-		nextEphemeral: 49152,
-	}
+	s := &Stack{sim: sim, nic: nic}
+	s.Reset()
 	nic.SetHandler(s.receive)
 	return s
+}
+
+// Reset returns the stack to the state NewStack builds: no connections,
+// listeners or UDP bindings, counters and hooks (Resolve, DropTx, Trace,
+// Metrics, Arena) cleared, port and IP-ID allocators restarted. It keeps
+// the storage — the maps are emptied in place and the connection records
+// return to their pool — and stays bound to its simulator and NIC, so
+// call it only after the simulator was reset too: every Conn handed out
+// before is dead afterwards.
+func (s *Stack) Reset() {
+	if s.conns == nil {
+		s.listeners = make(map[uint16]*Listener)
+		s.conns = make(map[fourTuple]*Conn)
+		s.udpHandlers = make(map[uint16]func(netip.Addr, uint16, []byte))
+		s.portUse = make(map[uint16]int)
+	} else {
+		clear(s.listeners)
+		clear(s.conns)
+		clear(s.udpHandlers)
+		clear(s.portUse)
+	}
+	clear(s.open)
+	s.open = s.open[:0]
+	s.connPool.Rewind()
+	s.nextEphemeral = 49152
+	s.ipID = 0
+	s.SegmentsSent, s.SegmentsRetransmitted, s.FastRetransmits = 0, 0, 0
+	s.Resolve, s.DropTx = nil, nil
+	s.Trace, s.Metrics, s.Arena = nil, nil, nil
 }
 
 // Addr returns the stack's IPv4 address.
@@ -169,6 +197,8 @@ type Conn struct {
 	stack *Stack
 	tuple fourTuple
 	state State
+	// openIdx is the conn's position in stack.open while it is open.
+	openIdx int
 
 	// Sender side. Sequence space: sndUna (oldest unacked) <= sndTx
 	// (next to transmit) <= sndNxt (next to assign). Segments wait in
@@ -271,23 +301,42 @@ func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
 // seqLT reports a < b in mod-2^32 arithmetic.
 func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
 
-// connChunkSize is how many Conn records a slab chunk holds. Probe
+// connChunkSize is how many Conn records a pool chunk holds. Probe
 // workloads open a handful of connections per run, so one chunk covers
 // several runs.
 const connChunkSize = 32
 
-// newConn hands out a zeroed connection record from the stack's slab
-// chunk. An exhausted chunk is abandoned (its conns still own their
-// inline queue arrays and must never move), and a fresh one allocated —
-// one allocation per 32 connections instead of one each.
+// newConn hands out a zeroed connection record from the stack's pool:
+// one allocation per 32 connections instead of one each, and none once
+// a reset stack has grown its pool to its peak.
 func (s *Stack) newConn() *Conn {
-	if s.connOff >= len(s.connSlab) {
-		s.connSlab = make([]Conn, connChunkSize)
-		s.connOff = 0
-	}
-	c := &s.connSlab[s.connOff]
-	s.connOff++
+	c := s.connPool.Next(connChunkSize)
+	*c = Conn{}
 	return c
+}
+
+// addConn registers an opened conn under its tuple.
+func (s *Stack) addConn(c *Conn) {
+	s.conns[c.tuple] = c
+	s.portUse[c.tuple.localPort]++
+	c.openIdx = len(s.open)
+	s.open = append(s.open, c)
+}
+
+// removeConn unregisters a conn that has closed.
+func (s *Stack) removeConn(c *Conn) {
+	delete(s.conns, c.tuple)
+	if p := c.tuple.localPort; s.portUse[p] == 1 {
+		delete(s.portUse, p)
+	} else {
+		s.portUse[p]--
+	}
+	last := len(s.open) - 1
+	moved := s.open[last]
+	s.open[c.openIdx] = moved
+	moved.openIdx = c.openIdx
+	s.open[last] = nil
+	s.open = s.open[:last]
 }
 
 // Dial opens a connection to dst:port. The returned Conn is in SYN_SENT;
@@ -305,7 +354,7 @@ func (s *Stack) Dial(dst netip.Addr, port uint16) (*Conn, error) {
 	c.cwnd = initialCwnd
 	c.ssthresh = initialSsthresh
 	c.initQueues()
-	s.conns[tuple] = c
+	s.addConn(c)
 	c.connectSpan = s.Trace.Begin("connect").Int("dst_port", int64(port)).Int("local_port", int64(local))
 	c.enqueue(netsim.FlagSYN, nil)
 	return c, nil
@@ -318,7 +367,7 @@ func (s *Stack) Dial(dst netip.Addr, port uint16) (*Conn, error) {
 // frames and segment payloads from — a non-quiescent conn could still
 // retransmit (or deliver) bytes the reset would recycle.
 func (s *Stack) Quiescent() bool {
-	for _, c := range s.conns {
+	for _, c := range s.open {
 		if c.sndUna != c.sndNxt || len(c.sendQ) > 0 || len(c.retxQ) > 0 || len(c.oo) > 0 {
 			return false
 		}
@@ -344,14 +393,7 @@ func (s *Stack) allocEphemeral() uint16 {
 		if s.nextEphemeral < 49152 {
 			s.nextEphemeral = 49152
 		}
-		busy := false
-		for t := range s.conns {
-			if t.localPort == p {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+		if s.portUse[p] == 0 {
 			return p
 		}
 	}
@@ -411,7 +453,7 @@ func (c *Conn) teardown() {
 	c.state = StateClosed
 	c.rtoTimer.Cancel() // no-op on the zero handle or a fired timer
 	c.rtoTimer = eventsim.Event{}
-	delete(c.stack.conns, c.tuple)
+	c.stack.removeConn(c)
 	if c.OnClose != nil {
 		c.OnClose()
 	}
@@ -638,7 +680,7 @@ func (s *Stack) acceptSyn(l *Listener, tuple fourTuple, p *netsim.Packet) {
 	c.cwnd = initialCwnd
 	c.ssthresh = initialSsthresh
 	c.initQueues()
-	s.conns[tuple] = c
+	s.addConn(c)
 	c.acceptCb = l.Accept
 	c.enqueue(netsim.FlagSYN|netsim.FlagACK, nil)
 }

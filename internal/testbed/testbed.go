@@ -135,9 +135,20 @@ type Testbed struct {
 
 	cfg Config
 
+	clientLink *netsim.Link
+	sw         *netsim.Switch
+	// ownArena is the private arena used when Config.Arena is nil; it is
+	// kept across Reset like every other buffer.
+	ownArena *arena.Arena
+
 	// probe holds the per-testbed cached probe responses served by the
 	// HTTP handler, so steady-state requests build no response objects.
 	probe probeResponses
+
+	// resolve (the static ARP table of both stacks) and udpEcho (the UDP
+	// echo service) are built once; Reset reinstalls them.
+	resolve func(netip.Addr) (netsim.MAC, bool)
+	udpEcho func(src netip.Addr, srcPort uint16, p []byte)
 
 	// nextUDPPort backs NextUDPPort. Keeping the allocator per-testbed
 	// (rather than process-global) makes port assignment a pure function
@@ -146,32 +157,59 @@ type Testbed struct {
 	nextUDPPort uint16
 }
 
-// New builds the testbed with the paper's parameters (see Config).
+// New builds the testbed with the paper's parameters (see Config). It is
+// the zero Testbed plus Reset(cfg).
 func New(cfg Config) *Testbed {
+	tb := &Testbed{}
+	tb.Reset(cfg)
+	return tb
+}
+
+// Reset makes tb exactly the testbed New(cfg) builds — clock at zero,
+// random streams seeded from cfg.Seed, no connections, empty capture,
+// idle links, services listening — while keeping the storage its earlier
+// use grew: the simulator's event records, the stacks' connection pools
+// and maps, the capture and HTTP server buffers, and (when cfg.Arena is
+// nil) the private arena. A study worker resets one testbed per cell
+// instead of building a fresh one; the reuse cannot change any result.
+//
+// Everything the previous use handed out (connections, Event handles,
+// cross-traffic generators, runners) is dead afterwards. Taps and frame
+// handlers a caller added to the NICs are not removed.
+func (tb *Testbed) Reset(cfg Config) {
 	cfg.fillDefaults()
 	if cfg.Arena == nil {
-		cfg.Arena = arena.New(0)
+		if tb.ownArena == nil {
+			tb.ownArena = arena.New(0)
+		}
+		cfg.Arena = tb.ownArena
 	}
-	sim := eventsim.New(cfg.Seed)
-	// Slab-reserve event records for the testbed's peak concurrent load
-	// (delayed frames in flight, per-conn RTO timers, method timers).
-	sim.Reserve(256)
-	cfg.Tracer.Bind(sim.Now)
+	if tb.Sim == nil {
+		tb.build(cfg.Seed)
+	} else {
+		tb.Sim.Reset(cfg.Seed)
+		tb.Client.Reset()
+		tb.Server.Reset()
+		tb.clientLink.Reset()
+		tb.ServerLink.Reset()
+		tb.sw.Reset()
+		tb.Cap.Reset()
+		tb.HTTP.Reset()
+	}
+	tb.cfg = cfg
+	tb.Trace, tb.Metrics, tb.Arena = cfg.Tracer, cfg.Metrics, cfg.Arena
+	tb.nextUDPPort = 0
+	cfg.Tracer.Bind(tb.Sim.Now)
 
-	clientMAC := netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
-	serverMAC := netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
-	clientIP := netip.MustParseAddr("192.168.1.10")
-	serverIP := netip.MustParseAddr("192.168.1.20")
-
-	clientNIC := netsim.NewNIC(sim, "client-eth0", clientMAC, clientIP)
-	serverNIC := netsim.NewNIC(sim, "server-eth0", serverMAC, serverIP)
-	serverNIC.EgressDelay = cfg.ServerDelay
-
-	sw := netsim.NewSwitch(sim, 2*time.Microsecond)
-	clientLink := netsim.NewLink(sim, cfg.LinkRate, cfg.Propagation)
-	serverLink := netsim.NewLink(sim, cfg.LinkRate, cfg.Propagation)
-	serverLink.LossRate = cfg.LossRate
-	var impair *faults.Impairment
+	tb.ServerNIC.EgressDelay = cfg.ServerDelay
+	for _, l := range [2]*netsim.Link{tb.clientLink, tb.ServerLink} {
+		l.BitsPerSecond = cfg.LinkRate
+		l.Propagation = cfg.Propagation
+		l.Metrics = cfg.Metrics
+	}
+	tb.ServerLink.LossRate = cfg.LossRate
+	tb.Impair = nil
+	tb.ServerLink.Impair = nil
 	if cfg.Faults.Enabled() {
 		params, err := cfg.Faults.Params()
 		if err != nil {
@@ -180,47 +218,55 @@ func New(cfg Config) *Testbed {
 		// Salt the seed so the impairment stream is independent of the
 		// simulator's own generator while remaining a pure function of the
 		// testbed seed.
-		impair = faults.New(params, cfg.Seed^0x66a17, cfg.Metrics)
-		serverLink.Impair = impair
+		tb.Impair = faults.New(params, cfg.Seed^0x66a17, cfg.Metrics)
+		tb.ServerLink.Impair = tb.Impair
 	}
-	clientLink.Metrics = cfg.Metrics
-	serverLink.Metrics = cfg.Metrics
+
+	for _, st := range [2]*tcpsim.Stack{tb.Client, tb.Server} {
+		st.Resolve = tb.resolve
+		st.Trace = cfg.Tracer
+		st.Metrics = cfg.Metrics
+		st.Arena = cfg.Arena
+	}
+	tb.HTTP.ParseCost = cfg.ServerParseCost
+	tb.startServices()
+}
+
+// build wires the Figure 2 topology once; Reset configures it.
+func (tb *Testbed) build(seed int64) {
+	sim := eventsim.New(seed)
+	// Slab-reserve event records for the testbed's peak concurrent load
+	// (delayed frames in flight, per-conn RTO timers, method timers).
+	sim.Reserve(256)
+
+	clientMAC := netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
+	serverMAC := netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
+	clientIP := netip.MustParseAddr("192.168.1.10")
+	serverIP := netip.MustParseAddr("192.168.1.20")
+
+	clientNIC := netsim.NewNIC(sim, "client-eth0", clientMAC, clientIP)
+	serverNIC := netsim.NewNIC(sim, "server-eth0", serverMAC, serverIP)
+	sw := netsim.NewSwitch(sim, 2*time.Microsecond)
+	clientLink := netsim.NewLink(sim, 0, 0)
+	serverLink := netsim.NewLink(sim, 0, 0)
 	clientNIC.Connect(clientLink)
 	sw.Connect(clientLink)
 	serverNIC.Connect(serverLink)
 	sw.Connect(serverLink)
 
+	tb.Sim = sim
+	tb.ClientNIC, tb.ServerNIC, tb.ServerAddr = clientNIC, serverNIC, serverIP
+	tb.clientLink, tb.ServerLink, tb.sw = clientLink, serverLink, sw
+	tb.Client = tcpsim.NewStack(sim, clientNIC)
+	tb.Server = tcpsim.NewStack(sim, serverNIC)
 	arp := map[netip.Addr]netsim.MAC{clientIP: clientMAC, serverIP: serverMAC}
-	resolve := func(a netip.Addr) (netsim.MAC, bool) { m, ok := arp[a]; return m, ok }
-
-	clientStack := tcpsim.NewStack(sim, clientNIC)
-	serverStack := tcpsim.NewStack(sim, serverNIC)
-	clientStack.Resolve = resolve
-	serverStack.Resolve = resolve
-	clientStack.Trace = cfg.Tracer
-	clientStack.Metrics = cfg.Metrics
-	serverStack.Trace = cfg.Tracer
-	serverStack.Metrics = cfg.Metrics
-	clientStack.Arena = cfg.Arena
-	serverStack.Arena = cfg.Arena
-
-	tb := &Testbed{
-		Sim:        sim,
-		Client:     clientStack,
-		Server:     serverStack,
-		ClientNIC:  clientNIC,
-		ServerNIC:  serverNIC,
-		ServerAddr: serverIP,
-		Cap:        capture.Attach(clientNIC, nil),
-		ServerLink: serverLink,
-		Impair:     impair,
-		Trace:      cfg.Tracer,
-		Metrics:    cfg.Metrics,
-		Arena:      cfg.Arena,
-		cfg:        cfg,
+	tb.resolve = func(a netip.Addr) (netsim.MAC, bool) { m, ok := arp[a]; return m, ok }
+	tb.Cap = capture.Attach(clientNIC, nil)
+	tb.probe.init()
+	tb.HTTP = &httpsim.Server{Sim: sim, Stack: tb.Server, Handler: tb.probe.handle}
+	tb.udpEcho = func(src netip.Addr, srcPort uint16, p []byte) {
+		tb.Server.SendUDP(src, UDPEchoPort, srcPort, p)
 	}
-	tb.startServices()
-	return tb
 }
 
 // BeginRun marks the start of a measurement run: the capture truncates
@@ -243,13 +289,6 @@ func (tb *Testbed) BeginRun() {
 
 // startServices brings up the HTTP, WebSocket and echo services.
 func (tb *Testbed) startServices() {
-	tb.probe.init()
-	tb.HTTP = &httpsim.Server{
-		Sim:       tb.Sim,
-		Stack:     tb.Server,
-		Handler:   tb.probe.handle,
-		ParseCost: tb.cfg.ServerParseCost,
-	}
 	if err := tb.HTTP.Serve(HTTPPort); err != nil {
 		panic(err)
 	}
@@ -264,9 +303,7 @@ func (tb *Testbed) startServices() {
 	if _, err := tb.Server.Listen(FlashPolicyPort, flashPolicyAccept); err != nil {
 		panic(err)
 	}
-	if err := tb.Server.ListenUDP(UDPEchoPort, func(src netip.Addr, srcPort uint16, p []byte) {
-		tb.Server.SendUDP(src, UDPEchoPort, srcPort, p)
-	}); err != nil {
+	if err := tb.Server.ListenUDP(UDPEchoPort, tb.udpEcho); err != nil {
 		panic(err)
 	}
 }
