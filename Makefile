@@ -11,7 +11,8 @@
 #   make bench-diff  compare $(BENCH_OLD) vs $(BENCH_NEW), fail on allocs/op regression
 #   make fuzz-smoke  run every fuzz target briefly (native Go fuzzing)
 #   make cover       whole-repo coverage.out + enforce the faults/sweep/fleet floors
-#   make sweep-smoke kill a sweep with SIGKILL, resume it, diff vs uninterrupted
+#   make sweep-smoke kill a sweep with SIGKILL, rerun it on the same cache, diff vs uninterrupted
+#   make artifacts-check  regenerate artifacts/ from the README commands, cmp each
 #   make fleet-load  10k-session loadgen under -race with a heap ceiling
 #   make fleet-cluster  root + 3 collectors over the wire, SIGKILL one mid-run
 #   make sweep-shard-cluster  coordinator + 3 shard workers over loopback,
@@ -20,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race race-core race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-shard-cluster
+.PHONY: all build vet test lint race race-core race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke artifacts-check fleet-load fleet-cluster sweep-shard-cluster
 
 all: tier1
 
@@ -105,7 +106,7 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(if $(BENCH_OLD),-old $(BENCH_OLD)) -new $(BENCH_NEW)
 
 # fuzz-smoke runs each native fuzz target briefly. Go allows one -fuzz
-# target per invocation, so the budget is split across the eight. The
+# target per invocation, so the budget is split across the seven. The
 # weekly extended run (.github/workflows/fuzz-weekly.yml) uses the same
 # target with FUZZTIME=100s.
 FUZZTIME ?= 10s
@@ -113,7 +114,6 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzPacketParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/netsim/
 	$(GO) test -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/httpsim/
 	$(GO) test -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/httpsim/
-	$(GO) test -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sweep/
 	$(GO) test -fuzz '^FuzzCellDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sweep/
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleetwire/
 	$(GO) test -fuzz '^FuzzControlDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/shard/
@@ -147,12 +147,16 @@ cover:
 		{ echo "internal/fleet coverage below floor"; exit 1; }
 	@rm -f coverage_fleet.out
 
-# sweep-smoke proves the kill/resume contract end to end on the real CLI:
-# a cold sweep is SIGKILLed mid-flight (no chance to clean up), resumed
-# from its manifest, and the resumed CSV must be byte-identical to an
-# uninterrupted sweep of the same configuration in a fresh cache. The runs
-# count is sized so the cold sweep takes tens of seconds — long enough
-# that the 2 s SIGKILL reliably lands mid-sweep.
+# sweep-smoke proves the kill/rerun contract end to end on the real CLI:
+# a cold sweep is SIGKILLed mid-flight (no chance to clean up), then run
+# again with the same flags on the same cache dir, and the rerun CSV must
+# be byte-identical to an uninterrupted sweep of the same configuration
+# in a fresh cache. The cell cache is the sweep's only state, so the
+# rerun is the resume. Two checks prove the kill landed mid-sweep: the
+# killed run left at least one cell file, and the rerun's stats line
+# reports at least one cached and at least one computed cell. The runs
+# count is sized so the cold sweep takes several seconds (8.6 s on two
+# cores) — long enough that the 2 s SIGKILL reliably lands mid-sweep.
 SWEEP_SMOKE_DIR ?= sweep-smoke.tmp
 SWEEP_SMOKE_RUNS ?= 2500
 SWEEP_SMOKE_FLAGS = -sweep -runs $(SWEEP_SMOKE_RUNS) -seed 42 -faults clean,lossy1pct
@@ -162,14 +166,49 @@ sweep-smoke:
 	$(GO) build -o $(SWEEP_SMOKE_DIR)/appraise ./cmd/appraise
 	-timeout -s KILL 2 $(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/killed >/dev/null 2>&1
-	test -f $(SWEEP_SMOKE_DIR)/killed/manifest.jsonl
-	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) -resume \
-		-cache-dir $(SWEEP_SMOKE_DIR)/killed -csv $(SWEEP_SMOKE_DIR)/resumed.csv >/dev/null
+	@n=$$(find $(SWEEP_SMOKE_DIR)/killed/cells -name '*.cell' | wc -l); \
+	echo "sweep-smoke: the killed sweep left $$n cell file(s)"; \
+	[ "$$n" -ge 1 ] || { echo "sweep-smoke: the killed sweep stored no cell; the kill landed too early"; exit 1; }
+	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
+		-cache-dir $(SWEEP_SMOKE_DIR)/killed -csv $(SWEEP_SMOKE_DIR)/resumed.csv \
+		>/dev/null 2>$(SWEEP_SMOKE_DIR)/rerun.log
+	@line=$$(grep '^sweep done in' $(SWEEP_SMOKE_DIR)/rerun.log); \
+	echo "sweep-smoke: rerun: $$line"; \
+	computed=$$(echo "$$line" | sed -n 's/.*(\([0-9]*\) computed, \([0-9]*\) cached,.*/\1/p'); \
+	cached=$$(echo "$$line" | sed -n 's/.*(\([0-9]*\) computed, \([0-9]*\) cached,.*/\2/p'); \
+	[ "$${cached:-0}" -ge 1 ] && [ "$${computed:-0}" -ge 1 ] || \
+		{ echo "sweep-smoke: the rerun must replay >=1 cached and compute >=1 cell (did the kill land mid-sweep?)"; exit 1; }
 	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/cold -csv $(SWEEP_SMOKE_DIR)/cold.csv >/dev/null
 	cmp $(SWEEP_SMOKE_DIR)/resumed.csv $(SWEEP_SMOKE_DIR)/cold.csv
-	@echo "sweep-smoke: resumed export is byte-identical to an uninterrupted sweep"
+	@echo "sweep-smoke: the rerun export is byte-identical to an uninterrupted sweep"
 	@rm -rf $(SWEEP_SMOKE_DIR)
+
+# artifacts-check regenerates the committed artifacts into a temp dir
+# with the commands listed in artifacts/README.md (built binaries instead
+# of go run; same flags) and byte-compares each against artifacts/, so a
+# stale or corrupted artifact fails CI. metrics_scrape.txt is left out:
+# it is a scrape of a live bmserver's /metrics after a liveprobe run, so
+# its counts and latencies depend on the host and the moment, not on the
+# seed.
+ARTIFACTS = appraise_all.txt fig3_ascii.txt study.csv report.md websocket_run.pcap
+artifacts-check:
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/appraise ./cmd/appraise; \
+	$(GO) build -o $$tmp/pcaptool ./cmd/pcaptool; \
+	( cd $$tmp && \
+		./appraise -all -runs 50 >appraise_all.txt 2>/dev/null && \
+		./appraise -fig 3 -ascii -runs 50 >fig3_ascii.txt 2>/dev/null && \
+		./appraise -markdown report.md >/dev/null 2>&1 && \
+		./appraise -csv study.csv >/dev/null 2>&1 && \
+		./pcaptool -gen websocket_run.pcap -method 3 -browser C -os W >/dev/null ); \
+	for f in $(ARTIFACTS); do \
+		cmp artifacts/$$f $$tmp/$$f || \
+			{ echo "artifacts-check: artifacts/$$f differs from a fresh regeneration"; exit 1; }; \
+	done; \
+	echo "artifacts-check: $(ARTIFACTS) byte-identical to a fresh regeneration"
 
 # fleet-load is the CI-sized live-observability load proof: 10k concurrent
 # synthetic sessions ingested under the race detector, with loadgen's own

@@ -287,7 +287,7 @@ func RunFaultImpact(ctx context.Context, opts FaultImpactOptions) (*FaultImpact,
 	return core.RunFaultImpact(ctx, opts)
 }
 
-// --- Sweep engine: content-addressed cache & resumable manifests ---
+// --- Sweep engine: content-addressed cache, resumable by rerun ---
 
 // CellCache caches completed study cells keyed by their full config; set
 // StudyOptions.Cache to one to make repeated studies warm. The contract:
@@ -312,23 +312,23 @@ func OpenSweepCache(dir, salt string) (*SweepCache, error) { return sweep.OpenCa
 const SweepSalt = sweep.DefaultSalt
 
 // SweepOptions configures RunSweep: the methods × browsers × fault-
-// profiles matrix, the cache directory, and resume behaviour.
+// profiles matrix and the cache directory.
 type SweepOptions = sweep.Options
 
-// SweepResult is a completed sweep (one study per fault profile, the
-// manifest, and warm/cold counters) with WriteCSV and Report exports.
+// SweepResult is a completed sweep (one study per fault profile and
+// warm/cold counters) with WriteCSV and Report exports.
 type SweepResult = sweep.Result
 
-// SweepStats summarizes a sweep (computed vs cached cells, resume count,
-// wall time).
+// SweepStats summarizes a sweep (computed vs cached cells, corrupt
+// entries recomputed, wall time).
 type SweepStats = sweep.Stats
 
 // RunSweep crosses methods × browser profiles × fault profiles into a
-// single manifest-driven run on the deterministic scheduler. Every
-// completed cell is persisted in the content-addressed cache and recorded
-// in the manifest, so a killed sweep resumed with SweepOptions.Resume
-// finishes only the missing cells — and still exports byte-identically to
-// an uninterrupted run.
+// single cache-backed run on the deterministic scheduler. Every completed
+// cell is persisted in the content-addressed cache — the sweep's only
+// state — so rerunning a killed sweep against the same SweepOptions.Dir
+// replays the finished cells, computes only the missing ones, and still
+// exports byte-identically to an uninterrupted run.
 func RunSweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	return sweep.Run(ctx, opts)
 }
@@ -337,9 +337,9 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 
 // ShardCoordinator partitions a sweep's cell matrix into shards and
 // leases them to worker processes over a framed loopback/LAN control
-// protocol; once every shard completes it merges the per-worker
-// manifests and replays the sweep warm from the shared cache, producing
-// output byte-identical to a single-process RunSweep.
+// protocol; once every shard completes it replays the sweep warm from
+// the shared cache, producing output byte-identical to a single-process
+// RunSweep.
 type ShardCoordinator = shard.Coordinator
 
 // ShardCoordinatorOptions configures NewShardCoordinator.

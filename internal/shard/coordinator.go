@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -283,7 +280,7 @@ func (c *Coordinator) hello(req *Msg, worker *string) *Msg {
 	}
 	if !validWorkerName(req.Name) {
 		c.countReject()
-		return &Msg{Type: MsgHelloAck, OK: false, Reason: fmt.Sprintf("worker name %q is not path-safe", req.Name)}
+		return &Msg{Type: MsgHelloAck, OK: false, Reason: fmt.Sprintf("worker name %q must use only [A-Za-z0-9._-]", req.Name)}
 	}
 	*worker = req.Name
 	c.mu.Lock()
@@ -392,7 +389,11 @@ func (c *Coordinator) releaseWorker(name string) {
 }
 
 // Close stops accepting workers and tears the coordinator down. Call it
-// once Wait has returned, or instead of Wait to abandon the sweep.
+// once Wait has returned, or instead of Wait to abandon the sweep. After
+// a completed sweep, Close first waits up to one lease TTL for connected
+// workers to hang up: a worker idling in its NoWork back-off (TTL/2)
+// polls once more, hears AllDone and exits cleanly, instead of reading
+// EOF because the owner process exited right after Close.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	stopped := c.stopped
@@ -401,18 +402,25 @@ func (c *Coordinator) Close() {
 	if stopped {
 		return
 	}
+	select {
+	case <-c.done:
+		deadline := time.Now().Add(c.opts.LeaseTTL)
+		for c.Stats().WorkersLive > 0 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+	default:
+	}
 	close(c.stopMonitor)
 	c.ln.Close()
 }
 
-// Wait blocks until every shard is done (or ctx fires), merges the
-// per-worker manifests into the sweep's main manifest, and runs the
-// final warm pass: the whole sweep replayed from the now-fully-populated
-// cache in this single process. Because cached replay is proven
-// byte-identical to recomputation (PR 6's equivalence suite), the
-// returned Result's CSV and report are byte-identical to an
-// uninterrupted single-process sweep — no matter how many workers ran,
-// died, or were reassigned. Any cell that somehow never reached the
+// Wait blocks until every shard is done (or ctx fires), then runs the
+// final warm pass: a plain sweep.Run that replays the whole sweep from
+// the now-fully-populated shared cache in this single process. Because
+// cached replay is proven byte-identical to recomputation (the sweep
+// package's equivalence suite), the returned Result's CSV and report are
+// byte-identical to an uninterrupted single-process sweep — no matter
+// how many workers ran, died, or were reassigned. Any cell that somehow never reached the
 // cache is recomputed here, so the output is correct even under total
 // worker loss.
 //
@@ -427,11 +435,7 @@ func (c *Coordinator) Wait(ctx context.Context) (*sweep.Result, error) {
 		c.Close()
 		return nil, ctx.Err()
 	}
-	if err := c.mergeWorkerManifests(); err != nil {
-		return nil, err
-	}
 	final := c.opts.Sweep
-	final.Resume = true
 	if final.Log == nil {
 		final.Log = c.opts.Log
 	}
@@ -441,56 +445,10 @@ func (c *Coordinator) Wait(ctx context.Context) (*sweep.Result, error) {
 	return sweep.Run(ctx, final)
 }
 
-// mergeWorkerManifests folds every worker-*.jsonl in the cache dir into
-// the sweep's main manifest. Merge rules: entries parse with the same
-// torn-tail tolerance as resume (a SIGKILLed worker's last line may be
-// torn — dropped, its cell revalidates from the cache); entries from a
-// different sweep configuration are skipped whole-file; duplicate keys
-// across workers (a reassigned shard's overlap) collapse via the
-// manifest's own append-dedupe.
-func (c *Coordinator) mergeWorkerManifests() error {
-	paths, err := filepath.Glob(filepath.Join(c.opts.Sweep.Dir, "worker-*.jsonl"))
-	if err != nil {
-		return fmt.Errorf("shard: merge manifests: %w", err)
-	}
-	sort.Strings(paths)
-	var m *sweep.Manifest
-	if c.opts.Sweep.Resume {
-		m, err = sweep.ResumeManifest(sweep.ManifestPath(c.opts.Sweep.Dir), c.sweepID)
-	} else {
-		m, err = sweep.CreateManifest(sweep.ManifestPath(c.opts.Sweep.Dir), c.sweepID)
-	}
-	if err != nil {
-		return fmt.Errorf("shard: merge manifests: %w", err)
-	}
-	defer m.Close()
-	merged, files := 0, 0
-	for _, p := range paths {
-		data, rerr := os.ReadFile(p)
-		if rerr != nil {
-			return fmt.Errorf("shard: merge manifests: %w", rerr)
-		}
-		gotID, entries, dropped, perr := sweep.ParseManifest(data)
-		if perr != nil || gotID != c.sweepID {
-			c.opts.Log("shard: skipping worker manifest %s (different sweep or unparseable)", filepath.Base(p))
-			continue
-		}
-		if dropped > 0 {
-			c.opts.Log("shard: worker manifest %s: dropped %d torn line(s)", filepath.Base(p), dropped)
-		}
-		for _, e := range entries {
-			if aerr := m.Append(e); aerr != nil {
-				return fmt.Errorf("shard: merge manifests: %w", aerr)
-			}
-		}
-		merged += len(entries)
-		files++
-	}
-	c.opts.Log("shard: merged %d entries from %d worker manifest(s)", merged, files)
-	return m.Close()
-}
-
-// validWorkerName accepts names safe to embed in a manifest file name.
+// validWorkerName bounds the name a worker presents at Hello: short,
+// [A-Za-z0-9._-] only, and not starting with '.' or '-', so an outside
+// peer cannot smuggle control characters or option-like strings into
+// logs and lease bookkeeping.
 func validWorkerName(s string) bool {
 	if s == "" || len(s) > maxName || s[0] == '.' || s[0] == '-' {
 		return false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -203,6 +204,80 @@ func TestShardSilentWorkerLeaseExpires(t *testing.T) {
 	}
 }
 
+// TestShardCloseLetsIdleWorkerHearAllDone: a worker told NoWork while
+// the last shards run is still in its back-off when the sweep completes.
+// Close right after Wait must keep the port open until that worker has
+// polled again, been told AllDone and hung up — an owner process that
+// exits after Close must not hand it an EOF instead.
+func TestShardCloseLetsIdleWorkerHearAllDone(t *testing.T) {
+	opts := smallOpts(t.TempDir())
+	c, err := NewCoordinator(CoordinatorOptions{Sweep: opts, Shards: 2, LeaseTTL: 2 * time.Second, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello := func(name string) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := call(conn, &Msg{Type: MsgHello, Name: name, SweepID: opts.ID()})
+		if err != nil || !ack.OK {
+			t.Fatalf("hello %s: %v %+v", name, err, ack)
+		}
+		return conn
+	}
+
+	holder := hello("holder")
+	defer holder.Close()
+	var leased []uint32
+	for {
+		grant, err := call(holder, &Msg{Type: MsgLeaseReq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grant.Type != MsgLeaseGrant {
+			break
+		}
+		leased = append(leased, grant.Shard)
+	}
+	idle := hello("idle")
+	defer idle.Close()
+	if nw, err := call(idle, &Msg{Type: MsgLeaseReq}); err != nil || nw.Type != MsgNoWork {
+		t.Fatalf("idle lease request: %v %+v, want NoWork", err, nw)
+	}
+	for _, s := range leased {
+		if ack, err := call(holder, &Msg{Type: MsgShardDone, Shard: s}); err != nil || !ack.OK {
+			t.Fatalf("shard %d done: %v %+v", s, err, ack)
+		}
+	}
+	holder.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := c.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	time.Sleep(100 * time.Millisecond)
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a worker was still connected")
+	default:
+	}
+	if resp, err := call(idle, &Msg{Type: MsgLeaseReq}); err != nil || resp.Type != MsgAllDone {
+		t.Fatalf("idle worker's next poll: %v %+v, want AllDone", err, resp)
+	}
+	idle.Close()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the last worker hung up")
+	}
+}
+
 // TestShardHelloRejectsMismatchedSweep: a worker whose flags derive a
 // different sweep configuration must be refused at Hello, not allowed to
 // poison the cache with cells of another matrix.
@@ -288,7 +363,8 @@ func TestShardMetricsRegistered(t *testing.T) {
 }
 
 // TestShardResumeSkipsWarmCells: a second cluster over the same cache
-// dir (Resume) must replay everything from the cache — zero computes.
+// dir must replay everything from the cache — zero computes — and the
+// cluster leaves nothing in the dir but the cells themselves.
 func TestShardResumeSkipsWarmCells(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts(dir)
@@ -296,14 +372,15 @@ func TestShardResumeSkipsWarmCells(t *testing.T) {
 	if stats.CellsComputed == 0 {
 		t.Fatal("cold cluster computed nothing")
 	}
-	warm := smallOpts(dir)
-	warm.Resume = true
-	second, wstats := runCluster(t, warm, 2, CoordinatorOptions{Shards: 4, Log: t.Logf}, nil)
+	second, wstats := runCluster(t, smallOpts(dir), 2, CoordinatorOptions{Shards: 4, Log: t.Logf}, nil)
 	if wstats.CellsComputed != 0 {
 		t.Errorf("warm cluster computed %d cells, want 0", wstats.CellsComputed)
 	}
 	if !bytes.Equal(exportBytes(t, first), exportBytes(t, second)) {
 		t.Error("warm cluster export differs from cold")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != "cells" {
+		t.Errorf("cache dir holds %v (err %v), want only cells/", ents, err)
 	}
 }
 

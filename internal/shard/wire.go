@@ -2,10 +2,10 @@
 // partitions the sweep's cell matrix into shards (rendezvous-hashed over
 // cell content addresses, so the assignment is a pure function of the
 // sweep configuration), leases shards to worker processes over a small
-// framed control protocol, and — once every shard is done — merges the
-// per-worker JSONL manifests and replays the whole sweep warm from the
-// shared content-addressed cache, producing a CSV/report byte-identical
-// to a single-process run.
+// framed control protocol, and — once every shard is done — replays the
+// whole sweep warm from the shared content-addressed cache, producing a
+// CSV/report byte-identical to a single-process run. The cache is the
+// only state the cluster shares.
 //
 // Design rules, inherited from the fleet plane and the sweep cache:
 //
@@ -55,8 +55,8 @@ const (
 	// allocation bomb.
 	maxPayload = 1 << 16
 
-	// maxName bounds a worker name; names become manifest file names, so
-	// they are further restricted to path-safe characters at Hello.
+	// maxName bounds a worker name; names are further restricted to
+	// [A-Za-z0-9._-] at Hello.
 	maxName = 64
 	// maxReason bounds a rejection reason string.
 	maxReason = 512

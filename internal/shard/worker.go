@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,8 +21,8 @@ import (
 type WorkerOptions struct {
 	// Addr is the coordinator's control address.
 	Addr string
-	// Name identifies the worker; it must be unique in the cluster and
-	// path-safe (it names the worker's manifest file).
+	// Name identifies the worker in logs and lease bookkeeping; it must
+	// be unique in the cluster and use only [A-Za-z0-9._-].
 	Name string
 	// Sweep must be identical to the coordinator's configuration; the
 	// Hello handshake compares sweep IDs and refuses a mismatch.
@@ -73,7 +72,7 @@ var errCrashInjected = errors.New("shard: injected crash")
 func RunWorker(ctx context.Context, o WorkerOptions) (WorkerStats, error) {
 	var stats WorkerStats
 	if o.Name == "" || !validWorkerName(o.Name) {
-		return stats, fmt.Errorf("shard: worker name %q must be non-empty and path-safe", o.Name)
+		return stats, fmt.Errorf("shard: worker name %q must be non-empty and use only [A-Za-z0-9._-]", o.Name)
 	}
 	if o.Sweep.Dir == "" {
 		return stats, fmt.Errorf("shard: worker requires a cache dir")
@@ -89,11 +88,6 @@ func RunWorker(ctx context.Context, o WorkerOptions) (WorkerStats, error) {
 	}
 	cache.SetLog(o.Log)
 	cache.SetMetrics(o.Metrics)
-	manifest, err := sweep.CreateManifest(WorkerManifestPath(o.Sweep.Dir, o.Name), sweepID)
-	if err != nil {
-		return stats, err
-	}
-	defer manifest.Close()
 
 	conn, err := net.DialTimeout("tcp", o.Addr, 10*time.Second)
 	if err != nil {
@@ -111,7 +105,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) (WorkerStats, error) {
 		return stats, fmt.Errorf("shard: coordinator refused worker: %s", ack.Reason)
 	}
 
-	w := &workerRun{opts: &o, plan: plan, cache: cache, manifest: manifest, conn: conn}
+	w := &workerRun{opts: &o, plan: plan, cache: cache, conn: conn}
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err
@@ -157,23 +151,15 @@ func RunWorker(ctx context.Context, o WorkerOptions) (WorkerStats, error) {
 	}
 }
 
-// WorkerManifestPath is where worker name's JSONL manifest lives inside
-// the shared cache dir; the coordinator merges these after all shards
-// complete.
-func WorkerManifestPath(dir, name string) string {
-	return filepath.Join(dir, "worker-"+name+".jsonl")
-}
-
 // workerRun carries one worker session's execution state.
 type workerRun struct {
-	opts     *WorkerOptions
-	plan     []sweep.PlannedCell
-	cache    *sweep.Cache
-	manifest *sweep.Manifest
-	conn     net.Conn
-	parts    [][]int // lazily derived from the granted partition count
-	nShards  int
-	crashed  atomic.Int64 // completed-cell counter for the crash hook
+	opts    *WorkerOptions
+	plan    []sweep.PlannedCell
+	cache   *sweep.Cache
+	conn    net.Conn
+	parts   [][]int // lazily derived from the granted partition count
+	nShards int
+	crashed atomic.Int64 // completed-cell counter for the crash hook
 }
 
 // runShard executes one leased shard: the cells run on a local worker
@@ -238,9 +224,9 @@ func (w *workerRun) runShard(parent context.Context, grant *Msg) (computed, cach
 	}
 }
 
-// runCells executes the shard's cells on a pool: cache hit → replay and
-// record; miss → simulate (arena-backed, same as the study scheduler),
-// store, record. Both paths append to the worker's manifest.
+// runCells executes the shard's cells on a pool: cache hit → count it
+// as replayed; miss → simulate (arena-backed, same as the study
+// scheduler) and store into the shared cache.
 func (w *workerRun) runCells(ctx context.Context, idxs []int, doneCells *atomic.Int64) (computed, cached int, err error) {
 	if len(idxs) == 0 {
 		return 0, 0, nil
@@ -285,10 +271,6 @@ func (w *workerRun) runCells(ctx context.Context, idxs []int, doneCells *atomic.
 				}
 				pc := &w.plan[i]
 				if _, ok := w.cache.Load(pc.Config); ok {
-					if aerr := w.manifest.Append(pc.ManifestEntry(true)); aerr != nil {
-						fail(aerr)
-						return
-					}
 					mu.Lock()
 					cached++
 					mu.Unlock()
@@ -312,10 +294,6 @@ func (w *workerRun) runCells(ctx context.Context, idxs []int, doneCells *atomic.
 				// exact key the study scheduler uses.
 				if serr := w.cache.Store(pc.Config, exp); serr != nil {
 					fail(serr)
-					return
-				}
-				if aerr := w.manifest.Append(pc.ManifestEntry(false)); aerr != nil {
-					fail(aerr)
 					return
 				}
 				mu.Lock()

@@ -108,11 +108,7 @@ func (c *Cache) cellPath(hash string) string {
 // reported as a miss so the scheduler recomputes — it can never surface
 // as data.
 func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
-	return c.load(cfg, c.Key(cfg).Hash())
-}
-
-// load is Load for a caller that already hashed cfg's key.
-func (c *Cache) load(cfg core.Config, hash string) (*core.Experiment, bool) {
+	hash := c.Key(cfg).Hash()
 	data, err := os.ReadFile(c.cellPath(hash))
 	if err != nil {
 		c.misses.Add(1)
@@ -146,11 +142,7 @@ func (c *Cache) load(cfg core.Config, hash string) (*core.Experiment, bool) {
 // atomically (temp file + rename), so a killed sweep leaves either the
 // complete entry or none.
 func (c *Cache) Store(cfg core.Config, exp *core.Experiment) error {
-	return c.store(c.Key(cfg).Hash(), exp)
-}
-
-// store is Store for a caller that already hashed the cell's key.
-func (c *Cache) store(hash string, exp *core.Experiment) error {
+	hash := c.Key(cfg).Hash()
 	data := encodeCell(hash, exp.Samples)
 	tmp, err := os.CreateTemp(filepath.Join(c.dir, "cells"), hash+".tmp*")
 	if err != nil {

@@ -1,12 +1,13 @@
 // Package sweep turns the study scheduler into a resumable, cache-backed
 // sweep engine. Each cell of a methods × browsers × fault-profiles matrix
 // is content-addressed by the SHA-256 of its full configuration (plus a
-// code-version salt), its samples are persisted byte-exactly on disk, and
-// a manifest written atomically per completed cell lets a killed sweep
-// restart where it left off. The repo's determinism contract — byte-
-// identical exports at any worker count — is what makes the cache sound,
-// and the package's tests extend that contract to "cached replay is
-// bit-identical to recomputation".
+// code-version salt) and its samples are persisted byte-exactly on disk,
+// one atomically written file per completed cell. That cache is the
+// sweep's only state: a killed sweep resumes by rerunning against the
+// same directory, replaying the finished cells. The repo's determinism
+// contract — byte-identical exports at any worker count — is what makes
+// the cache sound, and the package's tests extend that contract to
+// "cached replay is bit-identical to recomputation".
 package sweep
 
 import (

@@ -8,10 +8,9 @@ import (
 )
 
 // PlannedCell is one executable cell of a sweep matrix: its identity for
-// humans and manifests, the exact config it runs under (seed included),
-// and its content address in the cache. Skipped (unsupported) combos are
-// absent from a plan — they produce no samples, no cache entry and no
-// manifest line.
+// humans, the exact config it runs under (seed included), and its content
+// address in the cache. Skipped (unsupported) combos are absent from a
+// plan — they produce no samples and no cache entry.
 type PlannedCell struct {
 	Faults  faults.Profile
 	Method  methods.Kind
@@ -23,21 +22,6 @@ type PlannedCell struct {
 	// Hash is the cell's content address under the sweep's salt — the
 	// cache file name and the input to shard partitioning.
 	Hash string
-}
-
-// ManifestEntry renders the planned cell's manifest line identity
-// (Sum left for Manifest.Append to fill).
-func (p *PlannedCell) ManifestEntry(cached bool) ManifestEntry {
-	e := ManifestEntry{
-		Faults: p.Faults.String(),
-		Method: p.Method.String(),
-		Key:    p.Hash,
-		Cached: cached,
-	}
-	if p.Profile != nil {
-		e.Profile = p.Profile.Label()
-	}
-	return e
 }
 
 // Plan enumerates every executable cell of the sweep in the deterministic

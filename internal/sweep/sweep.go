@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -20,7 +19,7 @@ import (
 )
 
 // Options configures a sweep: the methods × browser-profiles × fault-
-// profiles matrix, executed as one manifest-driven, cache-backed run.
+// profiles matrix, executed as one cache-backed run.
 type Options struct {
 	// Methods defaults to the paper's ten compared methods.
 	Methods []methods.Kind
@@ -41,13 +40,11 @@ type Options struct {
 	// any value; the sweep identity deliberately excludes it.
 	Workers int
 
-	// Dir is the cache directory (required): cells/<hash>.cell entries
-	// plus the manifest.
+	// Dir is the cache directory (required) holding the
+	// cells/<hash>.cell entries — the sweep's only state. Rerunning
+	// against the same Dir resumes: warm cells are revalidated (content
+	// hash + checksum) and replayed, the rest are computed.
 	Dir string
-	// Resume continues a previous sweep of the same configuration from
-	// its manifest instead of starting a fresh one. Cache entries are
-	// revalidated (content hash + checksum) either way.
-	Resume bool
 	// Salt is the code-version salt baked into every cell key
 	// (DefaultSalt when empty).
 	Salt string
@@ -89,10 +86,10 @@ func (o *Options) fillDefaults() {
 }
 
 // ID returns the sweep's configuration identity: the SHA-256 of the
-// canonical sweep description. Two sweeps share a manifest iff their IDs
-// match. Workers is excluded (any worker count produces byte-identical
-// exports); everything that can change a cell's samples or the matrix
-// shape is included.
+// canonical sweep description. Shard workers must present the
+// coordinator's ID at Hello. Workers is excluded (any worker count
+// produces byte-identical exports); everything that can change a cell's
+// samples or the matrix shape is included.
 func (o Options) ID() string {
 	o.fillDefaults()
 	var b strings.Builder
@@ -123,9 +120,6 @@ type Stats struct {
 	// Computed cells ran the simulator; CachedHits replayed from disk.
 	Computed   int
 	CachedHits int
-	// Resumed is how many cells the manifest already recorded when the
-	// sweep started (0 on a fresh run).
-	Resumed int
 	// Corrupt counts cache entries that failed verification and were
 	// recomputed.
 	Corrupt int64
@@ -134,17 +128,13 @@ type Stats struct {
 }
 
 // Result is a completed sweep: one study per fault profile, in Options
-// order, plus the manifest and counters.
+// order, plus the counters.
 type Result struct {
-	Options  Options
-	Faults   []faults.Profile
-	Studies  []*core.Study
-	Manifest *Manifest
-	Stats    Stats
+	Options Options
+	Faults  []faults.Profile
+	Studies []*core.Study
+	Stats   Stats
 }
-
-// ManifestPath returns the manifest location inside a cache dir.
-func ManifestPath(dir string) string { return filepath.Join(dir, "manifest.jsonl") }
 
 // studyOptions builds the per-fault-profile study configuration exactly
 // as Run executes it. Plan goes through the same construction, so a cell
@@ -166,9 +156,9 @@ func (o *Options) studyOptions(fp faults.Profile) core.StudyOptions {
 
 // Run executes the sweep: for each fault profile, the full methods ×
 // profiles study runs under the deterministic scheduler with the
-// content-addressed cache installed, and every completed cell is
-// appended to the manifest. Cancelling ctx aborts between cells; a
-// subsequent Run with Resume set finishes only the missing cells and
+// content-addressed cache installed. Cancelling ctx aborts between cells;
+// every cell finished by then is already in the cache, so a subsequent
+// Run against the same Dir replays those and computes only the rest, and
 // exports byte-identically to an uninterrupted run.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts.fillDefaults()
@@ -179,28 +169,11 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	cache.SetLog(opts.Log)
 	cache.SetMetrics(opts.Metrics)
 
-	sweepID := opts.ID()
-	var m *Manifest
-	if opts.Resume {
-		m, err = ResumeManifest(ManifestPath(opts.Dir), sweepID)
-	} else {
-		m, err = CreateManifest(ManifestPath(opts.Dir), sweepID)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-
-	res := &Result{Options: opts, Faults: opts.Faults, Manifest: m}
-	res.Stats.Resumed = m.Len()
-	if d := m.Dropped(); d > 0 {
-		opts.Log("sweep: manifest: dropped %d torn/corrupt line(s); those cells will be recomputed or revalidated", d)
-	}
-
+	res := &Result{Options: opts, Faults: opts.Faults}
 	start := time.Now()
 	for _, fp := range opts.Faults {
 		so := opts.studyOptions(fp)
-		so.Cache = &recordingCache{c: cache, m: m}
+		so.Cache = cache
 		if cb := opts.OnCell; cb != nil {
 			prof := fp
 			so.OnCellDone = func(cs core.CellStatus) { cb(prof, cs) }
@@ -217,54 +190,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	res.Stats.Wall = time.Since(start)
 	res.Stats.Corrupt = cache.Stats().Corrupt
-	if err := m.Close(); err != nil {
-		return nil, fmt.Errorf("sweep: close manifest: %w", err)
-	}
 	return res, nil
-}
-
-// recordingCache wraps the disk cache so every completed (non-skipped)
-// cell — computed or replayed — lands in the manifest exactly once.
-type recordingCache struct {
-	c *Cache
-	m *Manifest
-}
-
-func (r *recordingCache) Load(cfg core.Config) (*core.Experiment, bool) {
-	hash := r.c.Key(cfg).Hash()
-	exp, ok := r.c.load(cfg, hash)
-	if ok {
-		// A revalidated warm cell still belongs in this sweep's manifest
-		// (Append dedupes if it is already there from a resumed run).
-		if err := r.record(cfg, hash, true); err != nil {
-			// Failing the manifest write must not serve stale bookkeeping:
-			// treat it as a miss so the cell goes through Store's error path.
-			return nil, false
-		}
-	}
-	return exp, ok
-}
-
-func (r *recordingCache) Store(cfg core.Config, exp *core.Experiment) error {
-	hash := r.c.Key(cfg).Hash()
-	if err := r.c.store(hash, exp); err != nil {
-		return err
-	}
-	return r.record(cfg, hash, false)
-}
-
-// record appends cfg's entry under its key hash.
-func (r *recordingCache) record(cfg core.Config, hash string, cached bool) error {
-	e := ManifestEntry{
-		Faults: cfg.Testbed.Faults.String(),
-		Method: cfg.Method.String(),
-		Key:    hash,
-		Cached: cached,
-	}
-	if cfg.Profile != nil {
-		e.Profile = cfg.Profile.Label()
-	}
-	return r.m.Append(e)
 }
 
 // WriteCSV exports every sample of every study with the fault profile in
@@ -312,9 +238,10 @@ func (r *Result) Report() string {
 }
 
 // StatsLine summarizes the run's bookkeeping for humans. Unlike Report it
-// depends on how the sweep executed (cold vs warm vs resumed), so it is
-// deliberately not part of the byte-identical export surface.
+// depends on how the sweep executed (cold vs warm vs interrupted and
+// rerun), so it is deliberately not part of the byte-identical export
+// surface.
 func (r *Result) StatsLine() string {
-	return fmt.Sprintf("%d cells: %d computed, %d cached, %d skipped (%d resumed from manifest, %d corrupt entries recomputed)",
-		r.Stats.Cells, r.Stats.Computed, r.Stats.CachedHits, r.Stats.Skipped, r.Stats.Resumed, r.Stats.Corrupt)
+	return fmt.Sprintf("%d cells: %d computed, %d cached, %d skipped (%d corrupt entries recomputed)",
+		r.Stats.Cells, r.Stats.Computed, r.Stats.CachedHits, r.Stats.Skipped, r.Stats.Corrupt)
 }

@@ -158,8 +158,9 @@ func TestSweepMatchesUncachedStudies(t *testing.T) {
 }
 
 // TestSweepInterruptResumeEquivalence: a sweep cancelled mid-flight and
-// then resumed exports byte-identically to an uninterrupted sweep, at
-// every worker count the repo's determinism contract covers.
+// then rerun against the same cache dir exports byte-identically to an
+// uninterrupted sweep, at every worker count the repo's determinism
+// contract covers.
 func TestSweepInterruptResumeEquivalence(t *testing.T) {
 	baseline, err := Run(context.Background(), smallOpts(t.TempDir()))
 	if err != nil {
@@ -184,22 +185,67 @@ func TestSweepInterruptResumeEquivalence(t *testing.T) {
 			t.Fatalf("Workers=%d: interrupted run returned %v, want context.Canceled", w, err)
 		}
 
-		// Resume from the manifest: only the missing cells run.
+		// Rerun on the same cache: the finished cells replay, only the
+		// missing ones run.
 		opts.OnCell = nil
-		opts.Resume = true
 		res, err := Run(context.Background(), opts)
 		if err != nil {
-			t.Fatalf("Workers=%d: resume: %v", w, err)
+			t.Fatalf("Workers=%d: rerun: %v", w, err)
 		}
-		if res.Stats.Resumed < 3 {
-			t.Errorf("Workers=%d: manifest recorded %d cells before the kill, want ≥ 3", w, res.Stats.Resumed)
+		if res.Stats.CachedHits < 3 {
+			t.Errorf("Workers=%d: rerun replayed %d cells from the cache, want ≥ 3", w, res.Stats.CachedHits)
 		}
 		if res.Stats.Computed+res.Stats.CachedHits+res.Stats.Skipped != res.Stats.Cells {
 			t.Errorf("Workers=%d: stats don't add up: %+v", w, res.Stats)
 		}
 		if got := sweepExportBytes(t, res); !bytes.Equal(got, want) {
-			t.Errorf("Workers=%d: resumed sweep is not byte-identical to an uninterrupted one", w)
+			t.Errorf("Workers=%d: rerun sweep is not byte-identical to an uninterrupted one", w)
 		}
+	}
+}
+
+// TestSweepWidenedMatrixReplaysOnlySharedCells: the cache, not the sweep
+// configuration, decides what is warm. A {clean} sweep followed by a
+// {clean, lossy1pct} sweep on the same dir replays exactly the clean
+// cells, the widened sweep exports byte-identically to a cold one, and
+// the dir holds nothing but the cells.
+func TestSweepWidenedMatrixReplaysOnlySharedCells(t *testing.T) {
+	dir := t.TempDir()
+	narrow := smallOpts(dir)
+	narrow.Faults = []faults.Profile{faults.Clean}
+	first, err := Run(context.Background(), narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanCells := first.Stats.Cells - first.Stats.Skipped
+	if first.Stats.Computed != cleanCells || cleanCells == 0 {
+		t.Fatalf("narrow sweep stats %+v: want every clean cell computed", first.Stats)
+	}
+
+	wide := smallOpts(dir)
+	wide.Faults = []faults.Profile{faults.Clean, faults.Lossy1pct}
+	res, err := Run(context.Background(), wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CachedHits != cleanCells {
+		t.Errorf("widened sweep replayed %d cells, want exactly the %d clean cells", res.Stats.CachedHits, cleanCells)
+	}
+	if res.Stats.Computed+res.Stats.CachedHits+res.Stats.Skipped != res.Stats.Cells {
+		t.Errorf("stats don't add up: %+v", res.Stats)
+	}
+
+	cold := smallOpts(t.TempDir())
+	cold.Faults = wide.Faults
+	want, err := Run(context.Background(), cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sweepExportBytes(t, res), sweepExportBytes(t, want)) {
+		t.Errorf("widened sweep on a warm dir is not byte-identical to a cold sweep in a fresh dir")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != "cells" {
+		t.Errorf("cache dir holds %v (err %v), want only cells/", ents, err)
 	}
 }
 
@@ -254,61 +300,6 @@ func TestSweepCorruptCellRecovery(t *testing.T) {
 	}
 	if got := sweepExportBytes(t, warm); !bytes.Equal(got, want) {
 		t.Errorf("recovered sweep is not byte-identical to the original")
-	}
-}
-
-// TestSweepManifestTornTailResume: a manifest torn mid-entry (the SIGKILL
-// case) resumes cleanly — the torn cell revalidates from the cache and the
-// exports are unchanged.
-func TestSweepManifestTornTailResume(t *testing.T) {
-	opts := smallOpts(t.TempDir())
-	cold, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sweepExportBytes(t, cold)
-	recorded := cold.Manifest.Len()
-
-	mpath := ManifestPath(opts.Dir)
-	data, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mpath, data[:len(data)-12], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Resume = true
-	res, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Resumed != recorded-1 {
-		t.Errorf("Resumed = %d, want %d (one torn entry dropped)", res.Stats.Resumed, recorded-1)
-	}
-	if res.Stats.Computed != 0 {
-		t.Errorf("Computed = %d, want 0: the torn cell's data is still cached", res.Stats.Computed)
-	}
-	if res.Manifest.Len() != recorded {
-		t.Errorf("manifest ends with %d entries, want %d", res.Manifest.Len(), recorded)
-	}
-	if got := sweepExportBytes(t, res); !bytes.Equal(got, want) {
-		t.Errorf("torn-tail resume is not byte-identical to the original")
-	}
-}
-
-// TestSweepResumeRejectsDifferentConfig: -resume against a manifest from a
-// differently configured sweep must fail loudly, not blend two sweeps.
-func TestSweepResumeRejectsDifferentConfig(t *testing.T) {
-	opts := smallOpts(t.TempDir())
-	if _, err := Run(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	opts.Runs++
-	opts.Resume = true
-	if _, err := Run(context.Background(), opts); err == nil ||
-		!strings.Contains(err.Error(), "different sweep") {
-		t.Fatalf("err = %v, want a different-sweep rejection", err)
 	}
 }
 
